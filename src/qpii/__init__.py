@@ -17,7 +17,6 @@ from .ncalg import (
     default_algebra,
     default_derivation_table,
     derive,
-    nc_mul,
     normal_form,
     parse_poly,
 )
@@ -26,7 +25,6 @@ from .laxderive import (
     Matrix2,
     build_lax,
     derive_qpii,
-    riccati_derive,
     verify_symmetric_relations,
     zero_curvature_residual,
 )

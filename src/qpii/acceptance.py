@@ -38,9 +38,7 @@ def criterion_1_qpii_derivation() -> dict:
     system = lax.derive_qpii(alg)
     elapsed = time.monotonic() - start
     ode_target = lax.headline_ode(alg)
-    constraint_target = parse_poly(
-        alg, "(0-1/2i) h^1 * f2 + (1+0i) * z f2 + (-1+0i) * f2 z"
-    )
+    constraint_target = lax.headline_constraint(alg)
     anchors = set(system.report.anchors())
     ode_ok = system.ode == ode_target
     constraint_ok = system.constraint == constraint_target

@@ -64,12 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_darboux = sub.add_parser("darboux", help="run a dressing-chain config")
     p_darboux.add_argument("--config", required=True, help="JSON config file")
-    p_darboux.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for pointwise quasideterminant evaluation",
-    )
 
     p_self = sub.add_parser("selftest", help="run the acceptance suite")
     p_self.add_argument(
@@ -148,7 +142,7 @@ def _run_darboux(args) -> dict:
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     config = dbx.DarbouxConfig.from_json(doc)
-    report = dbx.run_config(config, threads=max(1, args.threads))
+    report = dbx.run_config(config)
     report["command"] = "darboux"
     return report
 

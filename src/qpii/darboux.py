@@ -12,7 +12,6 @@ matrix-valued (noncommutative) content is exercised numerically.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -208,11 +207,12 @@ def integrate_linear_system(
 # ---------------------------------------------------------------------------
 
 
-def _inv_at(values: np.ndarray, k: int, tol: float, what: str) -> np.ndarray:
+def _inv(values: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Stacked inverse; the first singular matrix raises at its grid index."""
     try:
-        return invert_complex_matrix(values[k], tol)
+        return invert_complex_matrix(values, tol)
     except ZeroDivisionError as exc:
-        raise SingularEigenfunction(k, what) from exc
+        raise SingularEigenfunction(exc.index, what) from exc
 
 
 def _dt_step(
@@ -223,11 +223,8 @@ def _dt_step(
     tol: float = SINGULARITY_TOL,
 ) -> np.ndarray:
     """Pointwise -4 lam T + T u T with T = phi chi^-1, order preserved."""
-    out = np.empty_like(u_values)
-    for k in range(u_values.shape[0]):
-        t = phi_values[k] @ _inv_at(chi_values, k, tol, "chi")
-        out[k] = -4.0 * lam * t + t @ u_values[k] @ t
-    return out
+    t = phi_values @ _inv(chi_values, tol, "chi")
+    return -4.0 * lam * t + t @ u_values @ t
 
 
 def darboux_once(
@@ -254,19 +251,16 @@ def dress_eigenfunctions(
     """
     _require_same_grid(chi, pair1.chi, "solutions and the seed pair")
     _require_same_grid(chi, phi, "chi and phi")
-    n = chi.count
-    new_chi = np.empty_like(chi.values)
-    new_phi = np.empty_like(phi.values)
+    try:
+        chi1_inv = _inv(pair1.chi.values, tol, "chi")
+    except SingularEigenfunction as exc:
+        # report the first singular grid index of either family; chi wins a tie
+        _inv(pair1.phi.values[: exc.z_index], tol, "phi")
+        raise
+    phi1_inv = _inv(pair1.phi.values, tol, "phi")
     lam1 = pair1.lam
-    for k in range(n):
-        chi1_inv = _inv_at(pair1.chi.values, k, tol, "chi")
-        phi1_inv = _inv_at(pair1.phi.values, k, tol, "phi")
-        new_chi[k] = lam * phi.values[k] - lam1 * (
-            pair1.phi.values[k] @ chi1_inv @ chi.values[k]
-        )
-        new_phi[k] = lam * chi.values[k] - lam1 * (
-            pair1.chi.values[k] @ phi1_inv @ phi.values[k]
-        )
+    new_chi = lam * phi.values - lam1 * (pair1.phi.values @ chi1_inv @ chi.values)
+    new_phi = lam * chi.values - lam1 * (pair1.chi.values @ phi1_inv @ phi.values)
     return (
         GridFunction(chi.z0, chi.h, new_chi),
         GridFunction(phi.z0, phi.h, new_phi),
@@ -374,9 +368,9 @@ def darboux_nfold(chain: DressingChain, n: int) -> GridFunction:
 
 
 def _omega_arrays(
-    pairs: list[Eigenpair], k: int, point: int
+    pairs: list[Eigenpair], k: int
 ) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """The level-k arrays at one grid point.
+    """The level-k arrays, each entry a whole-grid ``(count, d, d)`` stack.
 
     Columns are pairs (k-1, ..., 1, k); row m carries spectral weight
     gamma^m and alternates between the two eigenfunction families, starting
@@ -390,14 +384,9 @@ def _omega_arrays(
         for p in order:
             pr = pairs[p]
             w = pr.lam**m
-            chi_val = pr.chi.values[point]
-            phi_val = pr.phi.values[point]
-            if m % 2 == 0:
-                chi_row.append(w * chi_val)
-                phi_row.append(w * phi_val)
-            else:
-                chi_row.append(w * phi_val)
-                phi_row.append(w * chi_val)
+            first, second = (pr.chi, pr.phi) if m % 2 == 0 else (pr.phi, pr.chi)
+            chi_row.append(w * first.values)
+            phi_row.append(w * second.values)
         chi_rows.append(chi_row)
         phi_rows.append(phi_row)
     return chi_rows, phi_rows
@@ -407,43 +396,22 @@ def quasidet_dressed_pair(
     pairs: list[Eigenpair],
     k: int,
     tol: float = SINGULARITY_TOL,
-    threads: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level-k dressed eigenfunctions as pointwise quasideterminants."""
-    base = pairs[0].chi
-    n, d = base.count, base.d
     if k == 1:
         return pairs[0].chi.values.copy(), pairs[0].phi.values.copy()
-    carrier = ComplexMatrixCarrier(d, tol)
-    chi_out = np.empty((n, d, d), dtype=np.complex128)
-    phi_out = np.empty((n, d, d), dtype=np.complex128)
-
-    def eval_point(point: int) -> None:
-        chi_rows, phi_rows = _omega_arrays(pairs, k, point)
-        try:
-            chi_out[point] = quasideterminant_expand(
-                BlockMatrix(carrier, chi_rows), k - 1, k - 1
-            )
-            phi_out[point] = quasideterminant_expand(
-                BlockMatrix(carrier, phi_rows), k - 1, k - 1
-            )
-        except NonInvertibleMinor as exc:
-            raise NonInvertibleMinor(
-                exc.row, exc.col, f"level {k} minor singular at grid index {point}"
-            ) from exc
-
-    if threads <= 1:
-        for point in range(n):
-            eval_point(point)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(eval_point, range(n)))
-    return chi_out, phi_out
+    carrier = ComplexMatrixCarrier(pairs[0].chi.d, tol)
+    try:
+        return tuple(
+            quasideterminant_expand(BlockMatrix(carrier, rows), k - 1, k - 1)
+            for rows in _omega_arrays(pairs, k)
+        )
+    except NonInvertibleMinor as exc:
+        msg = f"level {k} minor singular at grid index {exc.__cause__.index}"
+        raise NonInvertibleMinor(exc.row, exc.col, msg) from exc
 
 
-def quasidet_solution_form(
-    chain: DressingChain, n: int, threads: int = 1
-) -> GridFunction:
+def quasidet_solution_form(chain: DressingChain, n: int) -> GridFunction:
     """u[N] assembled from quasideterminant eigenfunction forms.
 
     Level factors are the quasideterminants of the spectral-weighted arrays
@@ -456,9 +424,7 @@ def quasidet_solution_form(
         raise DarbouxError(f"N must lie in [1, {chain.depth}]")
     u_values = chain.seed.values
     for k in range(1, n + 1):
-        chi_vals, phi_vals = quasidet_dressed_pair(
-            chain.eigenpairs, k, chain.tol, threads
-        )
+        chi_vals, phi_vals = quasidet_dressed_pair(chain.eigenpairs, k, chain.tol)
         u_values = _dt_step(u_values, chi_vals, phi_vals, chain.eigenpairs[k - 1].lam, chain.tol)
     return GridFunction(chain.seed.z0, chain.seed.h, u_values)
 
@@ -498,10 +464,7 @@ def riccati_residual_numeric(
     in Frobenius norm (the spectral factor stays in the linear term).
     """
     _require_same_grid(u, pair.chi, "seed and eigenfunctions")
-    n = u.count
-    delta = np.empty_like(u.values)
-    for k in range(n):
-        delta[k] = pair.chi.values[k] @ _inv_at(pair.phi.values, k, tol, "phi")
+    delta = pair.chi.values @ _inv(pair.phi.values, tol, "phi")
     d_delta = _fd_first_derivative(delta, u.h)
     rhs = (
         -4j * pair.lam * delta
@@ -641,7 +604,7 @@ def _cmat(v) -> np.ndarray:
     return np.array([[_cplx(e) for e in row] for row in v], dtype=np.complex128)
 
 
-def run_config(config: DarbouxConfig, threads: int = 1) -> dict:
+def run_config(config: DarbouxConfig) -> dict:
     """Full pipeline: integrate, dress both ways, collect residuals."""
     seed = config.seed_grid()
     pairs = [
@@ -654,7 +617,7 @@ def run_config(config: DarbouxConfig, threads: int = 1) -> dict:
     levels = []
     for k in range(1, n + 1):
         u_rec = darboux_nfold(chain, k)
-        u_qd = quasidet_solution_form(chain, k, threads=threads)
+        u_qd = quasidet_solution_form(chain, k)
         deviation = float(
             np.max(np.linalg.norm(u_rec.values - u_qd.values, axis=(1, 2)))
         )

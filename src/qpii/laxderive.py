@@ -25,7 +25,6 @@ from .ncalg import (
     default_algebra,
     default_derivation_table,
     derive,
-    nc_mul,
     normal_form,
     parse_poly,
     quantum_f2prime_f2_constant,
@@ -96,16 +95,16 @@ class Matrix2:
         (e, f), (g, h) = other.entries
         return Matrix2(
             self.algebra,
-            nc_mul(a, e) + nc_mul(b, g),
-            nc_mul(a, f) + nc_mul(b, h),
-            nc_mul(c, e) + nc_mul(d, g),
-            nc_mul(c, f) + nc_mul(d, h),
+            a * e + b * g,
+            a * f + b * h,
+            c * e + d * g,
+            c * f + d * h,
         )
 
     def __rmul__(self, scalar: NCPolynomial) -> "Matrix2":
         if not isinstance(scalar, NCPolynomial):
             return NotImplemented
-        return self.map(lambda p: nc_mul(scalar, p))
+        return self.map(lambda p: scalar * p)
 
     def trace(self) -> NCPolynomial:
         return self.entries[0][0] + self.entries[1][1]
@@ -149,7 +148,7 @@ def build_lax(alg: Algebra | None = None) -> tuple[Matrix2, Matrix2]:
     f2, f2p, z = alg.gen("f2"), alg.gen("f2'"), alg.gen("z")
     i = alg.i()
 
-    a_diag = 8 * i * alg.central("l", 2) + i * nc_mul(f2, f2) - 2 * i * z
+    a_diag = 8 * i * alg.central("l", 2) + i * (f2 * f2) - 2 * i * z
     a_offd = alg.scalar(Fraction(1, 4)) * c * alg.central("l", -1) - 4 * lam * f2
     A = a_diag * s3 + f2p * s2 + a_offd * s1 + (i * h) * s2
     B = (alg.scalar(0, -2) * lam) * s3 + f2 * s1 + f2 * ident
@@ -383,7 +382,7 @@ def verify_symmetric_relations(alg: Algebra | None = None) -> NCPolynomial:
     alg = alg or default_algebra()
     f2p = alg.gen("f1") - alg.gen("f0")
     f2 = alg.gen("f2")
-    expr = nc_mul(f2p, f2) - nc_mul(f2, f2p)
+    expr = f2p * f2 - f2 * f2p
     return normal_form(expr, RewriteSystem.symmetric(alg))
 
 
@@ -394,7 +393,7 @@ def symmetric_relations_report(alg: Algebra | None = None) -> dict:
 
     def bracket(a: str, b: str) -> NCPolynomial:
         return normal_form(
-            nc_mul(alg.gen(a), alg.gen(b)) - nc_mul(alg.gen(b), alg.gen(a)), symmetric
+            alg.gen(a) * alg.gen(b) - alg.gen(b) * alg.gen(a), symmetric
         )
 
     value = verify_symmetric_relations(alg)
@@ -485,11 +484,6 @@ def derive_qpii(alg: Algebra | None = None) -> DerivedSystem:
         {"ode": ode.to_text(), "constraint": constraint.to_text()},
     )
     return DerivedSystem(ode=ode, constraint=constraint, report=report)
-
-
-def riccati_derive(alg: Algebra | None = None) -> NCPolynomial:
-    """First derivative of the eigenfunction ratio, in the ratio and f2 only."""
-    return riccati_derivation(alg)[0]
 
 
 def riccati_derivation(alg: Algebra | None = None) -> tuple[NCPolynomial, dict]:

@@ -426,11 +426,6 @@ class NCPolynomial:
         return f"<NCPolynomial {self.to_text()}>"
 
 
-def nc_mul(p: NCPolynomial, q: NCPolynomial) -> NCPolynomial:
-    """Free bilinear concatenation product; the result is not normalized."""
-    return p * q
-
-
 # ---------------------------------------------------------------------------
 # Canonical text serialization
 # ---------------------------------------------------------------------------

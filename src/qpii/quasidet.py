@@ -91,6 +91,7 @@ class ExactScalarCarrier:
 class ComplexMatrixCarrier:
     """Square complex-matrix blocks of a fixed dimension.
 
+    An element is one ``(dim, dim)`` block or a ``(count, dim, dim)`` stack.
     Inversion is partial-pivot Gauss-Jordan with a relative singularity
     cutoff, matching the numeric backend.
     """
@@ -103,7 +104,7 @@ class ComplexMatrixCarrier:
 
     def _coerce(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=np.complex128)
-        if arr.shape != (self.dim, self.dim):
+        if arr.ndim not in (2, 3) or arr.shape[-2:] != (self.dim, self.dim):
             raise QuasidetError(f"expected a {self.dim}x{self.dim} block, got {arr.shape}")
         return arr
 
@@ -136,7 +137,19 @@ class ComplexMatrixCarrier:
 
 
 def invert_complex_matrix(a: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
-    """Partial-pivot Gauss-Jordan inverse with a relative pivot cutoff."""
+    """Partial-pivot Gauss-Jordan inverse with a relative pivot cutoff.
+
+    A ``(count, n, n)`` stack is inverted in whole-stack steps; a failure
+    carries the first failing stack index as ``index``.
+    """
+    if a.ndim == 3:
+        inv, failed = _invert_stack(a, tolerance)
+        if failed.any():
+            index = int(np.argmax(failed))
+            err = ZeroDivisionError(f"pivot below tolerance at stack index {index}")
+            err.index = index
+            raise err
+        return inv
     n = a.shape[0]
     scale = float(np.max(np.abs(a))) if a.size else 0.0
     if scale == 0.0:
@@ -159,6 +172,46 @@ def invert_complex_matrix(a: np.ndarray, tolerance: float = 1e-12) -> np.ndarray
                 m[r] -= f * m[k]
                 inv[r] -= f * inv[k]
     return inv
+
+
+def _invert_stack(a: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked inverse and the mask of matrices whose pivot fell below the cutoff."""
+    count, n, _ = a.shape
+    scale = np.max(np.abs(a), axis=(1, 2))
+    w = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=2).astype(np.complex128)
+    stack = np.arange(count)
+    failed = np.zeros(count, dtype=bool)
+    for k in range(n):
+        pivot_row = k + np.argmax(np.abs(w[:, k:, k]), axis=1)
+        failed |= np.abs(w[stack, pivot_row, k]) <= tolerance * scale
+        row_k = w[:, k].copy()
+        w[:, k] = w[stack, pivot_row]
+        w[stack, pivot_row] = row_k
+        # a failed matrix divides by one so the rest of the stack stays finite
+        w[:, k] /= np.where(failed, 1.0, w[:, k, k])[:, None]
+        f = w[:, :, k].copy()
+        f[:, k] = 0
+        w -= f[:, :, None] * w[:, None, k]
+    return w[:, :, n:], failed
+
+
+def _pivot_stack(work: list, inv: list, k: int, tolerance: float) -> np.ndarray:
+    """``_pivot`` at every stack index of a stacked column ``k``.
+
+    Each index takes the largest candidate that inverts there and swaps it
+    into row ``k``; where none does, inverting the pivots raises that index.
+    """
+    col = np.stack(np.broadcast_arrays(*(work[r][k] for r in range(k, len(work)))))
+    m, count, d, _ = col.shape
+    failed = _invert_stack(col.reshape(m * count, d, d), tolerance)[1].reshape(m, count)
+    offset = np.argmin(np.where(failed, np.inf, -np.linalg.norm(col, axis=(2, 3))), axis=0)
+    for rows in (work, inv):
+        first = rows[k]
+        for r in range(k + 1, len(rows)):
+            take = (offset == r - k)[:, None, None]
+            rows[k] = [np.where(take, b, a) for a, b in zip(rows[k], rows[r])]
+            rows[r] = [np.where(take, a, b) for a, b in zip(first, rows[r])]
+    return invert_complex_matrix(col[offset, np.arange(count)], tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +260,36 @@ def _col_without(M: BlockMatrix, i: int, j: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _pivot(car, work: list, inv: list, k: int):
+    """Swap the largest invertible candidate of column ``k`` into row ``k``; return its inverse."""
+    if any(np.ndim(work[r][k]) == 3 for r in range(k, len(work))):
+        return _pivot_stack(work, inv, k, car.tolerance)
+    for r in sorted(range(k, len(work)), key=lambda r: -car.magnitude(work[r][k])):
+        try:
+            pivot_inv = car.invert(work[r][k])
+        except ZeroDivisionError:
+            continue
+        if r != k:
+            work[k], work[r] = work[r], work[k]
+            inv[k], inv[r] = inv[r], inv[k]
+        return pivot_inv
+    raise ZeroDivisionError(f"no invertible pivot in column {k}")
+
+
 def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
     """Gauss-Jordan over the carrier with partial pivoting by magnitude.
 
     Row operations are left multiplications, which is the valid orientation
     when entries do not commute.  If the preferred pivot fails to invert,
-    the remaining candidates are tried in magnitude order.
+    the remaining candidates are tried in magnitude order.  Over stacked
+    elements the pivot is chosen at every stack index separately.
     """
     car = M.carrier
     n = M.n
     work = [row[:] for row in M.rows]
     inv = [[car.one() if r == c else car.zero() for c in range(n)] for r in range(n)]
     for k in range(n):
-        candidates = sorted(
-            range(k, n), key=lambda r: car.magnitude(work[r][k]), reverse=True
-        )
-        pivot_inv = None
-        for r in candidates:
-            if car.magnitude(work[r][k]) == 0.0:
-                break
-            try:
-                pivot_inv = car.invert(work[r][k])
-            except ZeroDivisionError:
-                continue
-            if r != k:
-                work[k], work[r] = work[r], work[k]
-                inv[k], inv[r] = inv[r], inv[k]
-            break
-        if pivot_inv is None:
-            raise ZeroDivisionError(f"no invertible pivot in column {k}")
+        pivot_inv = _pivot(car, work, inv, k)
         work[k] = [car.mul(pivot_inv, e) for e in work[k]]
         inv[k] = [car.mul(pivot_inv, e) for e in inv[k]]
         for r in range(n):

@@ -12,6 +12,7 @@ from qpii.darboux import (
     Eigenpair,
     GridFunction,
     LevelOrderViolation,
+    SINGULARITY_TOL,
     SingularEigenfunction,
     darboux_nfold,
     darboux_once,
@@ -19,13 +20,21 @@ from qpii.darboux import (
     integrate_linear_system,
     integrator_convergence_table,
     qpii_residual_numeric,
+    quasidet_dressed_pair,
     quasidet_solution_form,
     riccati_residual_numeric,
+    _omega_arrays,
     run_config,
     vacuum_seed,
 )
 from qpii.gaussian import gauss
-from qpii.quasidet import BlockMatrix, ExactScalarCarrier, quasideterminant_expand
+from qpii.quasidet import (
+    BlockMatrix,
+    ComplexMatrixCarrier,
+    ExactScalarCarrier,
+    NonInvertibleMinor,
+    quasideterminant_expand,
+)
 from qpii.reportio import dumps
 
 LAM = 1 + 0.5j
@@ -112,6 +121,73 @@ def test_darboux_once_singularity_reports_index():
     with pytest.raises(SingularEigenfunction) as err:
         darboux_once(u, Eigenpair(LAM, chi, phi))
     assert err.value.z_index == 4
+
+
+def _with_zeros(count, indices):
+    vals = np.ones((count, 1, 1), dtype=np.complex128)
+    vals[list(indices)] = 0.0
+    return GridFunction(0.0, 1e-2, vals)
+
+
+def _dress(u, pair):
+    return dress_eigenfunctions(u, u, 0.3, pair)
+
+
+def _riccati(u, pair):
+    return riccati_residual_numeric(pair, u)
+
+
+@pytest.mark.parametrize(
+    "apply, chi_zeros, phi_zeros, what, index",
+    [
+        (_dress, (4, 8), (6,), "chi", 4),
+        (_dress, (6,), (2, 9), "phi", 2),
+        (_dress, (5,), (5,), "chi", 5),
+        (_riccati, (1,), (3, 7), "phi", 3),
+    ],
+    ids=["dress-chi-first", "dress-phi-first", "dress-same-index", "riccati"],
+)
+def test_singularity_reports_first_index(apply, chi_zeros, phi_zeros, what, index):
+    # the smallest failing grid index across both families; chi wins a tie
+    count = 11
+    pair = Eigenpair(LAM, _with_zeros(count, chi_zeros), _with_zeros(count, phi_zeros))
+    u = vacuum_seed(0.0, 1e-2, count, 1)
+    with pytest.raises(SingularEigenfunction) as err:
+        apply(u, pair)
+    assert err.value.z_index == index
+    assert str(err.value) == f"{what} is singular at grid index {index}"
+
+
+def test_level_two_singular_minor_reports_index():
+    count = 11
+    first = Eigenpair(LAM, _with_zeros(count, (7,)), _with_zeros(count, ()))
+    second = Eigenpair(0.3 - 0.2j, _with_zeros(count, ()), _with_zeros(count, ()))
+    with pytest.raises(NonInvertibleMinor, match="level 2 minor singular at grid index 7"):
+        quasidet_dressed_pair([first, second], 2)
+
+
+def test_level_three_minor_pivots_per_grid_point():
+    # the level-3 minor's first-column candidates are singular at different
+    # points (chi of the second pair at 3, phi at 7); each point pivots on
+    # whichever candidate inverts there, as a one-point evaluation does
+    count = 11
+
+    def pair(lam, chi_scale, chi_zeros, phi_scale, phi_zeros):
+        chi = chi_scale * _with_zeros(count, chi_zeros).values
+        phi = phi_scale * _with_zeros(count, phi_zeros).values
+        return Eigenpair(lam, GridFunction(0.0, 1e-2, chi), GridFunction(0.0, 1e-2, phi))
+
+    pairs = [
+        pair(1 + 0.5j, 2, (), 3, ()),
+        pair(0.3 - 0.2j, 1, (3,), 5, (7,)),
+        pair(-0.7 + 0.4j, 7, (), 11, ()),
+    ]
+    chi, phi = quasidet_dressed_pair(pairs, 3)
+    carrier = ComplexMatrixCarrier(1, SINGULARITY_TOL)
+    for got, rows in zip((chi, phi), _omega_arrays(pairs, 3)):
+        for point in range(count):
+            block = BlockMatrix(carrier, [[e[point] for e in row] for row in rows])
+            assert np.array_equal(got[point], quasideterminant_expand(block, 2, 2))
 
 
 # -- eigenfunction dressing -------------------------------------------------------
@@ -342,20 +418,6 @@ def test_config_from_json_and_run_deterministic():
     assert dumps(r1) == dumps(r2)
     assert all(level["within_tolerance"] for level in r1["levels"])
     assert r1["qpii_residual"]["final_max"] > 0.0
-
-
-def test_run_config_threads_identical():
-    doc = {
-        "d": 2,
-        "grid": {"z0": 0.0, "h": 1e-2, "count": 101},
-        "lambdas": [[1.0, 0.5], [0.3, -0.2]],
-        "inits": [
-            {"chi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]], "phi": [[[1, 0], [0.3, 0]], [[-0.2, 0], [1, 0]]]},
-            {"chi": [[[1, 0], [0.1, 0]], [[0, 0], [1, 0]]], "phi": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]},
-        ],
-    }
-    cfg = DarbouxConfig.from_json(json.dumps(doc))
-    assert dumps(run_config(cfg, threads=1)) == dumps(run_config(cfg, threads=4))
 
 
 def test_config_rejects_duplicate_lambdas():

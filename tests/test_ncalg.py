@@ -17,7 +17,6 @@ from qpii.ncalg import (
     default_algebra,
     default_derivation_table,
     derive,
-    nc_mul,
     normal_form,
     parse_poly,
 )
@@ -62,30 +61,30 @@ def test_gaussian_parse_rejects_garbage():
 
 def test_free_product_word(alg):
     f2, z = alg.gen("f2"), alg.gen("z")
-    assert nc_mul(f2, z) == alg.word(("f2", "z"))
+    assert f2 * z == alg.word(("f2", "z"))
 
 
 def test_free_product_distributes(alg):
     f2, z = alg.gen("f2"), alg.gen("z")
-    assert nc_mul(f2 + z, f2) == alg.word(("f2", "f2")) + alg.word(("z", "f2"))
+    assert (f2 + z) * f2 == alg.word(("f2", "f2")) + alg.word(("z", "f2"))
 
 
 def test_free_product_scalars(alg):
     f2, z = alg.gen("f2"), alg.gen("z")
     left = alg.scalar(0, 2) * f2
     right = alg.scalar(3) * z
-    assert nc_mul(left, right) == alg.scalar(0, 6) * alg.word(("f2", "z"))
+    assert left * right == alg.scalar(0, 6) * alg.word(("f2", "z"))
 
 
 def test_product_is_order_sensitive(alg):
     f2, z = alg.gen("f2"), alg.gen("z")
-    assert nc_mul(f2, z) != nc_mul(z, f2)
+    assert f2 * z != z * f2
 
 
 def test_algebra_mismatch_rejected(alg):
     other = default_algebra()
     with pytest.raises(AlgebraMismatchError):
-        nc_mul(alg.gen("f2"), other.gen("f2"))
+        alg.gen("f2") * other.gen("f2")
 
 
 def test_unknown_generator_rejected(alg):
@@ -234,9 +233,7 @@ def test_derivation_product_rule_random(alg):
             return p
 
         p, q = rand_poly(), rand_poly()
-        assert derive(nc_mul(p, q), table) == nc_mul(derive(p, table), q) + nc_mul(
-            p, derive(q, table)
-        )
+        assert derive(p * q, table) == derive(p, table) * q + p * derive(q, table)
 
 
 # -- classical limit ---------------------------------------------------------
@@ -274,8 +271,8 @@ def test_classical_limit_idempotent_and_morphism(alg):
         p, q = rand_poly(), rand_poly()
         lp = classical_limit(p)
         assert classical_limit(lp) == lp
-        lhs = classical_limit(nc_mul(p, q))
-        rhs = classical_limit(nc_mul(classical_limit(p), classical_limit(q)))
+        lhs = classical_limit(p * q)
+        rhs = classical_limit(classical_limit(p) * classical_limit(q))
         assert normal_form(lhs, free) == normal_form(rhs, free)
 
 
@@ -291,7 +288,7 @@ def test_substitute_generator_poly(alg):
     p = alg.word(("f2", "f2"))
     val = alg.gen("f1") - alg.gen("f0")
     got = p.substitute_generator("f2", val)
-    assert got == nc_mul(val, val)
+    assert got == val * val
 
 
 def test_set_central(alg):

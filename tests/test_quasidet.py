@@ -16,6 +16,7 @@ from qpii.quasidet import (
     commutative_reduction_check,
     det_cofactor,
     invert_by_block_partition,
+    invert_complex_matrix,
     invert_by_elimination,
     load_matrix_json,
     quasideterminant_expand,
@@ -111,6 +112,62 @@ def test_noninvertible_entry():
 
 
 # -- inverses ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_stacked_inverse_matches_single_matrices(d):
+    rng = np.random.default_rng(d)
+    shape = (25, d, d)
+    stack = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    stack[3] *= 1e6  # pivot cutoffs are relative to each matrix's own scale
+    got = invert_complex_matrix(stack)
+    for a, inv in zip(stack, got):
+        want = invert_complex_matrix(a)
+        assert np.max(np.abs(inv - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stacked_inverse_reports_first_singular_index():
+    stack = np.broadcast_to(np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex), (12, 2, 2)).copy()
+    stack[5] = [[1.0, 2.0], [2.0, 4.0]]
+    stack[9] = 0.0
+    with pytest.raises(ZeroDivisionError) as err:
+        invert_complex_matrix(stack)
+    assert err.value.index == 5
+
+
+def _stacked_blocks(rng, count, n, d):
+    shape = (count, d, d)
+    return [[rng.normal(size=shape) + 1j * rng.normal(size=shape) for _ in range(n)] for _ in range(n)]
+
+
+def test_stacked_elimination_pivots_per_index():
+    # each stack index picks its own pivot, so a stack matches its slices
+    # even where the candidates of a column are singular at different indices
+    rng = np.random.default_rng(7)
+    count, n, d = 9, 3, 2
+    rows = _stacked_blocks(rng, count, n, d)
+    rows[0][0][2] = 0.0
+    rows[1][0][5] = 0.0
+    rows[2][0][5] *= 1e-3
+    car = ComplexMatrixCarrier(d)
+    got = invert_by_elimination(BlockMatrix(car, rows))
+    for s in range(count):
+        want = invert_by_elimination(BlockMatrix(car, [[e[s] for e in row] for row in rows]))
+        for r in range(n):
+            for c in range(n):
+                assert np.array_equal(got[(r, c)][s], want[(r, c)])
+
+
+def test_stacked_elimination_reports_first_index_without_pivot():
+    rng = np.random.default_rng(8)
+    rows = _stacked_blocks(rng, 10, 2, 2)
+    rows[0][0] *= 10  # the larger candidate overall, singular at 2
+    rows[0][0][4] = rows[1][0][4] = 0.0
+    rows[0][0][6] = rows[1][0][6] = 0.0
+    rows[0][0][2] = 0.0  # the other candidate still inverts at 2
+    with pytest.raises(ZeroDivisionError) as err:
+        invert_by_elimination(BlockMatrix(ComplexMatrixCarrier(2), rows))
+    assert err.value.index == 4
 
 
 def test_elimination_inverse_exact():
