@@ -306,10 +306,6 @@ class DressingChain:
     def depth(self) -> int:
         return len(self.eigenpairs)
 
-    @property
-    def levels_done(self) -> int:
-        return self._levels_done
-
     def solution(self, k: int) -> GridFunction:
         if not (0 <= k <= self._levels_done):
             raise LevelOrderViolation(

@@ -289,9 +289,6 @@ class NCPolynomial:
         found = {e: g for (ww, e), g in self._terms.items() if ww == w}
         return Coefficient(self.algebra, found)
 
-    def max_word_length(self) -> int:
-        return max((len(w) for (w, _e) in self._terms), default=0)
-
     # -- ring operations --------------------------------------------------
 
     def _check(self, other: "NCPolynomial") -> None:

@@ -3,14 +3,21 @@
 A quasideterminant is the noncommutative replacement for a determinant
 ratio: position (i, j) of a square matrix A is ``((A^-1)_ji)^-1`` whenever
 the inverse entry exists, and over a commutative carrier it reduces to
-``(-1)^(i+j) det A / det A^ij``.  Two independent evaluation paths are
-provided and cross-checked by the test suite:
+``(-1)^(i+j) det A / det A^ij``.
 
-* ``quasideterminant_expand`` uses the pivot formula
-  ``a_ij - row_i(A^ij) (A^ij)^-1 col_j(A^ij)`` with the minor inverted by
-  partial-pivot elimination over the carrier;
+* ``quasideterminant_expand`` evaluates one position by the pivot formula
+  ``a_ij - row_i(A^ij) (A^ij)^-1 col_j(A^ij)``, with the minor inverted by
+  partial-pivot elimination over the carrier.
 * ``quasideterminant_via_inverse`` inverts the whole matrix by recursive
-  2x2 block partition and inverts the (j, i) entry of the result.
+  2x2 block partition and inverts the (j, i) entry of the result; the test
+  suite and the self-test cross-check it against the expand path.
+* ``all_quasideterminants`` inverts the whole matrix once by elimination
+  and reads every position from that inverse.  A position whose inverse
+  entry does not invert, or every position when the whole inverse fails,
+  falls back to the expand path, so singular minors keep its values and
+  errors.
+* ``commutative_reduction_check`` compares the expand path with the
+  determinant ratio, both determinants computed exactly by elimination.
 
 Indices are 0-based throughout.
 """
@@ -56,7 +63,6 @@ class ExactScalarCarrier:
     """Exact commutative Gaussian-rational scalars; tolerance zero."""
 
     tolerance = 0.0
-    commutative = True
 
     def zero(self):
         return gauss(0)
@@ -84,9 +90,6 @@ class ExactScalarCarrier:
     def magnitude(self, a) -> float:
         return abs(complex(a))
 
-    def close(self, a, b) -> bool:
-        return a == b
-
 
 class ComplexMatrixCarrier:
     """Square complex-matrix blocks of a fixed dimension.
@@ -95,8 +98,6 @@ class ComplexMatrixCarrier:
     Inversion is partial-pivot Gauss-Jordan with a relative singularity
     cutoff, matching the numeric backend.
     """
-
-    commutative = False
 
     def __init__(self, dim: int, tolerance: float = 1e-12):
         self.dim = dim
@@ -131,9 +132,6 @@ class ComplexMatrixCarrier:
 
     def magnitude(self, a) -> float:
         return float(np.linalg.norm(a))
-
-    def close(self, a, b) -> bool:
-        return self.magnitude(self.sub(a, b)) <= self.tolerance
 
 
 def invert_complex_matrix(a: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
@@ -415,10 +413,28 @@ def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
 
 
 def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
-    """All n^2 positions by the expand path (an n x n matrix has n^2 of them)."""
-    return {
-        (i, j): quasideterminant_expand(M, i, j) for i in range(M.n) for j in range(M.n)
-    }
+    """All n^2 positions, in row-major order, from one elimination inverse.
+
+    Position (i, j) is ``((M^-1)_ji)^-1``.  Where that entry does not invert,
+    or where ``M`` itself does not, the position is evaluated by
+    ``quasideterminant_expand`` instead, so a singular minor raises the same
+    ``NonInvertibleMinor`` as the per-position path.  For n = 1 the single
+    entry is returned as is.
+    """
+    if M.n == 1:
+        return {(0, 0): M[(0, 0)]}
+    positions = [(i, j) for i in range(M.n) for j in range(M.n)]
+    try:
+        inv = invert_by_elimination(M)
+    except ZeroDivisionError:
+        return {(i, j): quasideterminant_expand(M, i, j) for i, j in positions}
+    out = {}
+    for i, j in positions:
+        try:
+            out[(i, j)] = M.carrier.invert(inv[(j, i)])
+        except ZeroDivisionError:
+            out[(i, j)] = quasideterminant_expand(M, i, j)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -426,20 +442,35 @@ def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
 # ---------------------------------------------------------------------------
 
 
-def det_cofactor(M: BlockMatrix):
-    """Exact determinant by first-row cofactor expansion (commutative carrier)."""
+def det_by_elimination(M: BlockMatrix) -> GaussianRational:
+    """Exact determinant by Gaussian elimination over the exact scalar carrier.
+
+    Each column takes its first nonzero entry on or below the diagonal as
+    pivot, and each row swap flips the sign; a column without one makes the
+    determinant zero.
+    """
     car = M.carrier
-    if not getattr(car, "commutative", False):
-        raise QuasidetError("cofactor determinant requires a commutative carrier")
-    if M.n == 1:
-        return M[(0, 0)]
-    acc = car.zero()
-    for j in range(M.n):
-        term = car.mul(M[(0, j)], det_cofactor(M.minor(0, j)))
-        if j % 2:
-            term = car.sub(car.zero(), term)
-        acc = car.add(acc, term)
-    return acc
+    if not isinstance(car, ExactScalarCarrier):
+        raise QuasidetError("exact determinant requires the exact scalar carrier")
+    n = M.n
+    work = [row[:] for row in M.rows]
+    det = car.one()
+    for k in range(n):
+        p = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
+        if p is None:
+            return car.zero()
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            det = -det
+        pivot = work[k][k]
+        det = det * pivot
+        pivot_inv = pivot.inverse()
+        for r in range(k + 1, n):
+            if work[r][k].is_zero():
+                continue
+            f = work[r][k] * pivot_inv
+            work[r][k + 1:] = [e - f * q for e, q in zip(work[r][k + 1:], work[k][k + 1:])]
+    return det
 
 
 def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
@@ -451,10 +482,10 @@ def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
     car = M.carrier
     if not isinstance(car, ExactScalarCarrier):
         raise QuasidetError("reduction check requires the exact scalar carrier")
-    det_minor = det_cofactor(M.minor(i, j))
+    det_minor = det_by_elimination(M.minor(i, j))
     if car.is_zero(det_minor):
         return None
-    expected = det_cofactor(M) * det_minor.inverse()
+    expected = det_by_elimination(M) * det_minor.inverse()
     if (i + j) % 2:
         expected = -expected
     got = quasideterminant_expand(M, i, j)

@@ -86,6 +86,19 @@ def test_quasidet_block_matrix_single_position(capsys):
     assert "0,0" in doc["positions"]
 
 
+def test_quasidet_singular_minor_reports_like_single_position(tmp_path, capsys):
+    matrix = tmp_path / "swap.json"
+    matrix.write_text('[["0", "1"], ["1", "0"]]')
+    code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "quasidet",
+        "error": {"message": "no invertible pivot in column 0", "type": "NonInvertibleMinor"},
+    }
+    single = run_main(["quasidet", "--input", str(matrix), "--position", "0", "0"], capsys)
+    assert single == (code, out, _err)
+
+
 def test_darboux_vacuum_config(capsys):
     code, out, _err = run_main(
         ["darboux", "--config", str(CONFIGS / "vacuum_n2.json")], capsys

@@ -14,7 +14,7 @@ from qpii.quasidet import (
     NonInvertibleMinor,
     all_quasideterminants,
     commutative_reduction_check,
-    det_cofactor,
+    det_by_elimination,
     invert_by_block_partition,
     invert_complex_matrix,
     invert_by_elimination,
@@ -62,6 +62,40 @@ def random_block_matrix(rng, n, dim):
     return BlockMatrix(carrier, rows)
 
 
+def det_cofactor(M):
+    """Test oracle: exact determinant by first-row cofactor expansion, O(n!)."""
+    assert M.n <= 4
+    if M.n == 1:
+        return M[(0, 0)]
+    acc = gauss(0)
+    for j in range(M.n):
+        term = M[(0, j)] * det_cofactor(M.minor(0, j))
+        acc = acc - term if j % 2 else acc + term
+    return acc
+
+
+def expand_positions(M):
+    """Every position by ``quasideterminant_expand`` in row-major order, or the first error."""
+    try:
+        return {
+            (i, j): quasideterminant_expand(M, i, j) for i in range(M.n) for j in range(M.n)
+        }
+    except NonInvertibleMinor as exc:
+        return exc
+
+
+def with_singular_minor(rng, n):
+    """A random exact matrix whose row 1 repeats row 0 except in one column.
+
+    Every minor that deletes that column and a row other than 0 and 1 is
+    singular, while the matrix itself usually is not.
+    """
+    M = random_exact_matrix(rng, n)
+    col = rng.randrange(n)
+    M.rows[1] = [M.rows[0][c] if c != col else M.rows[1][c] for c in range(n)]
+    return M
+
+
 # -- basic positions ---------------------------------------------------------
 
 
@@ -88,6 +122,84 @@ def test_enumeration_has_n_squared_positions():
     M = exact_matrix([[1, 2, 3], [4, 5, 6], [7, 8, 10]])
     qs = all_quasideterminants(M)
     assert len(qs) == 9
+
+
+def test_all_quasideterminants_single_entry_is_the_entry():
+    M = exact_matrix([[7]])
+    assert all_quasideterminants(M)[(0, 0)] is M[(0, 0)]
+    B = random_block_matrix(random.Random(1), 1, 2)
+    assert all_quasideterminants(B)[(0, 0)] is B[(0, 0)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_all_quasideterminants_exact_matches_expand(n):
+    rng = random.Random(3000 + n)
+    matrices = [random_exact_matrix(rng, n) for _ in range(3)]
+    if n >= 3:
+        singular = random_exact_matrix(rng, n)
+        singular.rows[1] = singular.rows[0][:]
+        matrices += [with_singular_minor(rng, n), singular]
+    raised = 0
+    for M in matrices:
+        want = expand_positions(M)
+        if isinstance(want, NonInvertibleMinor):
+            raised += 1
+            with pytest.raises(NonInvertibleMinor) as err:
+                all_quasideterminants(M)
+            assert (err.value.row, err.value.col) == (want.row, want.col)
+            assert str(err.value) == str(want)
+            continue
+        got = all_quasideterminants(M)
+        assert list(got) == list(want)
+        assert {k: str(v) for k, v in got.items()} == {k: str(v) for k, v in want.items()}
+    assert raised == (2 if n >= 3 else 0)
+
+
+def test_all_quasideterminants_singular_minor_after_valid_positions():
+    # only the minors of (2, 0) and (3, 0) are singular, so the inverse
+    # serves every earlier position and the error names (2, 0)
+    M = exact_matrix([[1, 2, 0, 1], [3, 2, 0, 1], [3, 1, 4, 0], [0, 1, 1, 2]])
+    want = expand_positions(M)
+    assert isinstance(want, NonInvertibleMinor) and (want.row, want.col) == (2, 0)
+    with pytest.raises(NonInvertibleMinor) as err:
+        all_quasideterminants(M)
+    assert (err.value.row, err.value.col, str(err.value)) == (want.row, want.col, str(want))
+
+
+def test_all_quasideterminants_swap_matrix_raises_like_expand():
+    M = exact_matrix([[0, 1], [1, 0]])
+    with pytest.raises(NonInvertibleMinor) as want:
+        quasideterminant_expand(M, 0, 0)
+    with pytest.raises(NonInvertibleMinor) as got:
+        all_quasideterminants(M)
+    assert (got.value.row, got.value.col) == (0, 0)
+    assert str(got.value) == str(want.value) == "no invertible pivot in column 0"
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_all_quasideterminants_blocks_match_expand(d, n):
+    M = random_block_matrix(random.Random(100 * d + n), n, d)
+    got = all_quasideterminants(M)
+    assert list(got) == [(i, j) for i in range(n) for j in range(n)]
+    for (i, j), value in got.items():
+        want = quasideterminant_expand(M, i, j)
+        assert np.max(np.abs(value - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_all_quasideterminants_uses_one_inverse(monkeypatch):
+    # an invertible generic matrix never needs the per-position path
+    import qpii.quasidet as qd
+
+    def refuse(*_args):
+        raise AssertionError("per-position expand path taken")
+
+    monkeypatch.setattr(qd, "quasideterminant_expand", refuse)
+    M = random_block_matrix(random.Random(5), 6, 3)
+    assert len(all_quasideterminants(M)) == 36
+    E = random_exact_matrix(random.Random(6), 4)
+    assert det_cofactor(E) != gauss(0)
+    assert len(all_quasideterminants(E)) == 16
 
 
 def test_singular_minor_raises():
@@ -222,6 +334,34 @@ def test_commutative_reduction_random():
                 checked += 1
                 assert out is True
     assert checked > 100
+
+
+def test_det_by_elimination_matches_cofactor_oracle():
+    rng = random.Random(2046)
+    singular = 0
+    for n in (1, 2, 3, 4):
+        for trial in range(15):
+            M = random_exact_matrix(rng, n)
+            if n >= 2 and trial % 3 == 0:
+                # the last row a combination of the first two, or the first row
+                # zero: both singular, and the second needs row swaps first
+                a, b = gauss(rng.randint(-3, 3)), gauss(Fraction(1, rng.randint(1, 3)))
+                if n >= 3:
+                    M.rows[-1] = [a * x + b * y for x, y in zip(M.rows[0], M.rows[1])]
+                else:
+                    M.rows[0] = [gauss(0)] * n
+            if trial % 5 == 1:
+                M.rows[0][0] = gauss(0)  # forces a row swap
+            want = det_cofactor(M)
+            singular += want.is_zero()
+            assert det_by_elimination(M) == want
+    assert singular >= 10
+
+
+def test_det_by_elimination_sign_of_row_swaps():
+    assert det_by_elimination(exact_matrix([[0, 1], [1, 0]])) == gauss(-1)
+    assert det_by_elimination(exact_matrix([[0, 0, 1], [0, 1, 0], [1, 0, 0]])) == gauss(-1)
+    assert det_by_elimination(exact_matrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])) == gauss(1)
 
 
 def test_reduction_check_vacuous_on_singular_minor():
