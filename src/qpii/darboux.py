@@ -105,11 +105,6 @@ class GridFunction:
         return float(np.max(np.linalg.norm(self.values, axis=(1, 2))))
 
     @classmethod
-    def constant(cls, z0: float, h: float, count: int, matrix: np.ndarray) -> "GridFunction":
-        matrix = np.asarray(matrix, dtype=np.complex128)
-        return cls(z0, h, np.broadcast_to(matrix, (count, *matrix.shape)).copy())
-
-    @classmethod
     def zeros(cls, z0: float, h: float, count: int, d: int) -> "GridFunction":
         return cls(z0, h, np.zeros((count, d, d), dtype=np.complex128))
 
@@ -191,10 +186,11 @@ def integrate_linear_system(
             k4c, k4p = rhs(u1, c + h * k3c, p + h * k3p)
             chis[k + 1] = c + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
             phis[k + 1] = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-            if not (
-                np.all(np.isfinite(chis[k + 1])) and np.all(np.isfinite(phis[k + 1]))
-            ):
-                raise DivergenceError(u.z0 + (k + 1) * h)
+    # a non-finite entry stays non-finite in every later step, so the first
+    # bad step is the first non-finite sample after the initial one
+    bad = ~(np.isfinite(chis[1:]).all(axis=(1, 2)) & np.isfinite(phis[1:]).all(axis=(1, 2)))
+    if bad.any():
+        raise DivergenceError(u.z0 + (int(np.argmax(bad)) + 1) * h)
     return Eigenpair(
         lam,
         GridFunction(u.z0, h, chis),

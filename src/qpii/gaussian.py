@@ -106,11 +106,6 @@ class GaussianRational:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-ZERO = GaussianRational(0)
-ONE = GaussianRational(1)
-I = GaussianRational(0, 1)
-
-
 def gauss(re=0, im=0) -> GaussianRational:
     """Shorthand constructor accepting ints, Fractions or strings."""
     if isinstance(re, GaussianRational):

@@ -7,7 +7,10 @@ the inverse entry exists, and over a commutative carrier it reduces to
 
 * ``quasideterminant_expand`` evaluates one position by the pivot formula
   ``a_ij - row_i(A^ij) (A^ij)^-1 col_j(A^ij)``, with the minor inverted by
-  partial-pivot elimination over the carrier.
+  ``invert_by_elimination``: complex blocks are flattened into one scalar
+  matrix per stack index for the Gauss-Jordan kernel
+  ``invert_complex_matrix``, exact scalars go through partial-pivot
+  elimination over the carrier.
 * ``quasideterminant_via_inverse`` inverts the whole matrix by recursive
   2x2 block partition and inverts the (j, i) entry of the result; the test
   suite and the self-test cross-check it against the expand path.
@@ -60,9 +63,7 @@ class NonInvertibleEntry(QuasidetError):
 
 
 class ExactScalarCarrier:
-    """Exact commutative Gaussian-rational scalars; tolerance zero."""
-
-    tolerance = 0.0
+    """Exact commutative Gaussian-rational scalars."""
 
     def zero(self):
         return gauss(0)
@@ -127,49 +128,21 @@ class ComplexMatrixCarrier:
     def invert(self, a):
         return invert_complex_matrix(self._coerce(a), self.tolerance)
 
-    def is_zero(self, a) -> bool:
-        return bool(np.all(a == 0))
-
-    def magnitude(self, a) -> float:
-        return float(np.linalg.norm(a))
-
 
 def invert_complex_matrix(a: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
     """Partial-pivot Gauss-Jordan inverse with a relative pivot cutoff.
 
-    A ``(count, n, n)`` stack is inverted in whole-stack steps; a failure
-    carries the first failing stack index as ``index``.
+    An ``(n, n)`` matrix is inverted as a stack of one, a ``(count, n, n)``
+    stack in whole-stack steps; a failure carries the first failing stack
+    index as ``index``.
     """
-    if a.ndim == 3:
-        inv, failed = _invert_stack(a, tolerance)
-        if failed.any():
-            index = int(np.argmax(failed))
-            err = ZeroDivisionError(f"pivot below tolerance at stack index {index}")
-            err.index = index
-            raise err
-        return inv
-    n = a.shape[0]
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale == 0.0:
-        raise ZeroDivisionError("inverse of zero matrix")
-    m = a.astype(np.complex128).copy()
-    inv = np.eye(n, dtype=np.complex128)
-    for k in range(n):
-        pivot_row = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[pivot_row, k]) <= tolerance * scale:
-            raise ZeroDivisionError(f"pivot below tolerance at column {k}")
-        if pivot_row != k:
-            m[[k, pivot_row]] = m[[pivot_row, k]]
-            inv[[k, pivot_row]] = inv[[pivot_row, k]]
-        p = m[k, k]
-        m[k] /= p
-        inv[k] /= p
-        for r in range(n):
-            if r != k and m[r, k] != 0:
-                f = m[r, k]
-                m[r] -= f * m[k]
-                inv[r] -= f * inv[k]
-    return inv
+    inv, failed = _invert_stack(a if a.ndim == 3 else a[None], tolerance)
+    if failed.any():
+        index = int(np.argmax(failed))
+        err = ZeroDivisionError(f"pivot below tolerance at stack index {index}")
+        err.index = index
+        raise err
+    return inv if a.ndim == 3 else inv[0]
 
 
 def _invert_stack(a: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
@@ -191,25 +164,6 @@ def _invert_stack(a: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarr
         f[:, k] = 0
         w -= f[:, :, None] * w[:, None, k]
     return w[:, :, n:], failed
-
-
-def _pivot_stack(work: list, inv: list, k: int, tolerance: float) -> np.ndarray:
-    """``_pivot`` at every stack index of a stacked column ``k``.
-
-    Each index takes the largest candidate that inverts there and swaps it
-    into row ``k``; where none does, inverting the pivots raises that index.
-    """
-    col = np.stack(np.broadcast_arrays(*(work[r][k] for r in range(k, len(work)))))
-    m, count, d, _ = col.shape
-    failed = _invert_stack(col.reshape(m * count, d, d), tolerance)[1].reshape(m, count)
-    offset = np.argmin(np.where(failed, np.inf, -np.linalg.norm(col, axis=(2, 3))), axis=0)
-    for rows in (work, inv):
-        first = rows[k]
-        for r in range(k + 1, len(rows)):
-            take = (offset == r - k)[:, None, None]
-            rows[k] = [np.where(take, b, a) for a, b in zip(rows[k], rows[r])]
-            rows[r] = [np.where(take, a, b) for a, b in zip(first, rows[r])]
-    return invert_complex_matrix(col[offset, np.arange(count)], tolerance)
 
 
 # ---------------------------------------------------------------------------
@@ -260,8 +214,6 @@ def _col_without(M: BlockMatrix, i: int, j: int) -> list:
 
 def _pivot(car, work: list, inv: list, k: int):
     """Swap the largest invertible candidate of column ``k`` into row ``k``; return its inverse."""
-    if any(np.ndim(work[r][k]) == 3 for r in range(k, len(work))):
-        return _pivot_stack(work, inv, k, car.tolerance)
     for r in sorted(range(k, len(work)), key=lambda r: -car.magnitude(work[r][k])):
         try:
             pivot_inv = car.invert(work[r][k])
@@ -274,15 +226,33 @@ def _pivot(car, work: list, inv: list, k: int):
     raise ZeroDivisionError(f"no invertible pivot in column {k}")
 
 
-def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
-    """Gauss-Jordan over the carrier with partial pivoting by magnitude.
+def _invert_flattened(M: BlockMatrix) -> BlockMatrix:
+    """Inverse of complex blocks as one ``n*d`` scalar matrix per stack index."""
+    car = M.carrier
+    n, d = M.n, car.dim
+    blocks = np.stack(np.broadcast_arrays(*(car._coerce(e) for row in M.rows for e in row)))
+    lead = blocks.shape[1:-2]
+    # (row, col, stack, i, j) -> (stack, row, i, col, j): block (r, c) entry
+    # (i, j) becomes scalar entry (r*d + i, c*d + j)
+    flat = blocks.reshape(n, n, -1, d, d).transpose(2, 0, 3, 1, 4).reshape(-1, n * d, n * d)
+    inv = invert_complex_matrix(flat, car.tolerance).reshape(-1, n, d, n, d)
+    inv = np.ascontiguousarray(inv.transpose(1, 3, 0, 2, 4)).reshape(n, n, *lead, d, d)
+    return BlockMatrix(car, [[inv[r, c] for c in range(n)] for r in range(n)])
 
-    Row operations are left multiplications, which is the valid orientation
-    when entries do not commute.  If the preferred pivot fails to invert,
-    the remaining candidates are tried in magnitude order.  Over stacked
-    elements the pivot is chosen at every stack index separately.
+
+def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
+    """Gauss-Jordan inverse of a block matrix.
+
+    Complex blocks, single or stacked, are flattened into one scalar matrix
+    per stack index and inverted by ``invert_complex_matrix``; a singular
+    index raises its ``ZeroDivisionError`` with ``index``.  Exact scalars are
+    eliminated over the carrier with partial pivoting by magnitude: row
+    operations are left multiplications, and if the preferred pivot fails to
+    invert, the remaining candidates are tried in magnitude order.
     """
     car = M.carrier
+    if isinstance(car, ComplexMatrixCarrier):
+        return _invert_flattened(M)
     n = M.n
     work = [row[:] for row in M.rows]
     inv = [[car.one() if r == c else car.zero() for c in range(n)] for r in range(n)]
@@ -501,7 +471,8 @@ def load_matrix_json(doc, carrier: str = "auto") -> BlockMatrix:
     """Build a BlockMatrix from a JSON array-of-arrays document.
 
     Entries are exact-rational strings/numbers for the exact carrier, or
-    nested arrays of [re, im] pairs (or numbers) for the matrix carrier.
+    square nested arrays of [re, im] pairs (or numbers) for the matrix
+    carrier, every block of the first block's size.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -521,17 +492,22 @@ def load_matrix_json(doc, carrier: str = "auto") -> BlockMatrix:
     if kind == "matrix":
         blocks = [[_parse_block(e) for e in row] for row in doc]
         dim = blocks[0][0].shape[0]
+        if any(b.shape != (dim, dim) for row in blocks for b in row):
+            raise QuasidetError(f"every matrix block must be {dim}x{dim} like the first")
         return BlockMatrix(ComplexMatrixCarrier(dim), blocks)
     raise QuasidetError(f"unknown carrier {carrier!r}")
 
 
 def _parse_exact(e) -> GaussianRational:
-    if isinstance(e, str):
-        return GaussianRational.parse(e)
-    if isinstance(e, int):
-        return gauss(e)
-    if isinstance(e, list) and len(e) == 2:
-        return GaussianRational(Fraction(e[0]), Fraction(e[1]))
+    try:
+        if isinstance(e, str):
+            return GaussianRational.parse(e)
+        if isinstance(e, int):
+            return gauss(e)
+        if isinstance(e, list) and len(e) == 2:
+            return GaussianRational(Fraction(e[0]), Fraction(e[1]))
+    except (ArithmeticError, TypeError) as exc:
+        raise QuasidetError(f"cannot parse exact entry {e!r}") from exc
     raise QuasidetError(f"cannot parse exact entry {e!r}")
 
 
@@ -539,11 +515,17 @@ def _parse_block(e) -> np.ndarray:
     def scalar(v):
         if isinstance(v, (int, float)):
             return complex(v)
-        if isinstance(v, list) and len(v) == 2:
+        if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
             return complex(v[0], v[1])
         raise QuasidetError(f"cannot parse complex scalar {v!r}")
 
+    if not (
+        isinstance(e, list)
+        and e
+        and all(isinstance(row, list) and len(row) == len(e) for row in e)
+    ):
+        raise QuasidetError("matrix blocks must be square arrays of arrays")
     arr = np.array([[scalar(v) for v in row] for row in e], dtype=np.complex128)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise QuasidetError("matrix blocks must be square")
+    if not np.isfinite(arr).all():
+        raise QuasidetError("matrix block entries must be finite")
     return arr

@@ -17,6 +17,12 @@ import pytest
 from qpii import acceptance
 
 
+@pytest.fixture(scope="session")
+def selftest_report() -> dict:
+    """The full acceptance report, built once for the tests that read all of it."""
+    return acceptance.run_all()
+
+
 def _announce(result: dict) -> None:
     status = "PASS" if result["pass"] else "FAIL"
     print(f"criterion {result['id']:>2} ({result['name']}): {status}")
@@ -118,16 +124,16 @@ def test_criterion_10_kernel_property():
     assert result["pass"]
 
 
-def test_criterion_11_determinism():
-    result = acceptance.criterion_11_determinism()
+def test_criterion_11_determinism(selftest_report):
+    # run_all builds the body twice for criterion 11 and compares the bytes
+    result = next(c for c in selftest_report["criteria"] if c["id"] == 11)
     _announce(result)
     assert result["byte_identical"]
     assert result["pass"]
 
 
-def test_suite_summary_counts():
-    report = acceptance.run_all()
+def test_suite_summary_counts(selftest_report):
     # criteria 1 and 3 are the two honestly red ones
-    failing = {c["id"] for c in report["criteria"] if not c["pass"]}
+    failing = {c["id"] for c in selftest_report["criteria"] if not c["pass"]}
     assert failing == {1, 3}
-    assert report["passed"] == report["total"] - 2
+    assert selftest_report["passed"] == selftest_report["total"] - 2

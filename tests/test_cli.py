@@ -99,6 +99,43 @@ def test_quasidet_singular_minor_reports_like_single_position(tmp_path, capsys):
     assert single == (code, out, _err)
 
 
+def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
+    matrix = tmp_path / "swap_blocks.json"
+    matrix.write_text("[[[[0]], [[1]]], [[[1]], [[0]]]]")
+    code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
+    assert code == 1
+    assert json.loads(out)["error"] == {
+        "message": "pivot below tolerance at stack index 0",
+        "type": "NonInvertibleMinor",
+    }
+
+
+@pytest.mark.parametrize(
+    "doc, flags, message",
+    [
+        ("[[[1, 2]]]", [], "matrix blocks must be square arrays of arrays"),
+        ("[[1]]", ["--carrier", "matrix"], "matrix blocks must be square arrays of arrays"),
+        (
+            "[[[[1, 0], [0, 1]], [[1]]], [[[1]], [[1]]]]",
+            [],
+            "every matrix block must be 2x2 like the first",
+        ),
+        ('[["1/0"]]', [], "cannot parse exact entry '1/0'"),
+        ("[[[[NaN]]]]", [], "matrix block entries must be finite"),
+    ],
+    ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator", "nan"],
+)
+def test_quasidet_rejects_malformed_input(tmp_path, capsys, doc, flags, message):
+    matrix = tmp_path / "bad.json"
+    matrix.write_text(doc)
+    code, out, _err = run_main(["quasidet", *flags, "--input", str(matrix)], capsys)
+    assert code == 1
+    assert json.loads(out) == {
+        "command": "quasidet",
+        "error": {"message": message, "type": "QuasidetError"},
+    }
+
+
 def test_darboux_vacuum_config(capsys):
     code, out, _err = run_main(
         ["darboux", "--config", str(CONFIGS / "vacuum_n2.json")], capsys

@@ -77,6 +77,17 @@ def test_divergence_detected():
         integrate_linear_system(u, 1e200, np.eye(1), np.eye(1))
 
 
+def test_divergence_reports_first_non_finite_step():
+    # one huge seed sample overflows the state mid-grid; z is the first step
+    # whose state is not finite, as a check after every step reports it
+    values = np.zeros((101, 2, 2), dtype=np.complex128)
+    values[50] = 1e300 * np.eye(2)
+    u = GridFunction(0.0, 1e-2, values)
+    with pytest.raises(DivergenceError) as err:
+        integrate_linear_system(u, LAM, np.eye(2), np.eye(2))
+    assert err.value.z == 0.49
+
+
 def test_grid_function_validation():
     with pytest.raises(Exception):
         GridFunction(0.0, 1e-2, np.zeros((1, 2, 2)))

@@ -282,6 +282,22 @@ def test_stacked_elimination_reports_first_index_without_pivot():
     assert err.value.index == 4
 
 
+def test_block_minor_with_all_singular_column_blocks():
+    # the minor deleting row 2 and column 2 is invertible although both of
+    # its column-0 blocks are singular, so no block pivot exists there
+    rng = np.random.default_rng(11)
+    rows = _stacked_blocks(rng, 1, 3, 2)
+    rows = [[b[0] for b in row] for row in rows]
+    rows[0][0] = np.diag([1.0, 0.0]).astype(complex)
+    rows[1][0] = np.diag([0.0, 1.0]).astype(complex)
+    rows[2][0] = np.eye(2, dtype=complex)
+    M = BlockMatrix(ComplexMatrixCarrier(2), rows)
+    A = np.block(rows)
+    want = np.linalg.inv(np.linalg.inv(A)[4:6, 4:6])
+    got = quasideterminant_expand(M, 2, 2)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_elimination_inverse_exact():
     rng = random.Random(2041)
     for n in (2, 3, 4):
