@@ -19,7 +19,8 @@ from . import darboux as dbx
 from . import laxderive as lax
 from .ncalg import NCAlgebraError, default_algebra
 from .quasidet import QuasidetError, all_quasideterminants, load_matrix_json
-from .reportio import dumps, jsonable, render_text
+# jsonable is not called here, but the benchmark tracer wraps qpii.cli.jsonable
+from .reportio import dumps, jsonable, render_text  # noqa: F401
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,7 +124,7 @@ def _run_quasidet(args) -> dict:
         "input": args.input,
         "n": matrix.n,
         "carrier": carrier_name,
-        "positions": jsonable(positions),
+        "positions": positions,
         "position_count": len(positions),
     }
     if carrier_name == "ExactScalarCarrier":

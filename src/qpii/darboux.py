@@ -11,12 +11,15 @@ matrix-valued (noncommutative) content is exercised numerically.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .quasidet import (
+    SINGULARITY_TOL,
     BlockMatrix,
     ComplexMatrixCarrier,
     NonInvertibleMinor,
@@ -24,7 +27,8 @@ from .quasidet import (
     quasideterminant_expand,
 )
 
-SINGULARITY_TOL = 1e-12
+# Largest grid-wise deviation between the recursive and the quasideterminant
+# route at which a level is reported within tolerance.
 CONSISTENCY_TOL = 1e-8
 
 
@@ -203,10 +207,10 @@ def integrate_linear_system(
 # ---------------------------------------------------------------------------
 
 
-def _inv(values: np.ndarray, tol: float, what: str) -> np.ndarray:
+def _inv(values: np.ndarray, what: str) -> np.ndarray:
     """Stacked inverse; the first singular matrix raises at its grid index."""
     try:
-        return invert_complex_matrix(values, tol)
+        return invert_complex_matrix(values)
     except ZeroDivisionError as exc:
         raise SingularEigenfunction(exc.index, what) from exc
 
@@ -216,19 +220,16 @@ def _dt_step(
     chi_values: np.ndarray,
     phi_values: np.ndarray,
     lam: complex,
-    tol: float = SINGULARITY_TOL,
 ) -> np.ndarray:
     """Pointwise -4 lam T + T u T with T = phi chi^-1, order preserved."""
-    t = phi_values @ _inv(chi_values, tol, "chi")
+    t = phi_values @ _inv(chi_values, "chi")
     return -4.0 * lam * t + t @ u_values @ t
 
 
-def darboux_once(
-    u: GridFunction, pair: Eigenpair, tol: float = SINGULARITY_TOL
-) -> GridFunction:
+def darboux_once(u: GridFunction, pair: Eigenpair) -> GridFunction:
     """One-fold transformation of the seed by a particular eigenpair."""
     _require_same_grid(u, pair.chi, "seed and eigenfunctions")
-    values = _dt_step(u.values, pair.chi.values, pair.phi.values, pair.lam, tol)
+    values = _dt_step(u.values, pair.chi.values, pair.phi.values, pair.lam)
     return GridFunction(u.z0, u.h, values)
 
 
@@ -237,7 +238,6 @@ def dress_eigenfunctions(
     phi: GridFunction,
     lam: complex,
     pair1: Eigenpair,
-    tol: float = SINGULARITY_TOL,
 ) -> tuple[GridFunction, GridFunction]:
     """Map an arbitrary solution pair through the one-fold transformation.
 
@@ -248,12 +248,12 @@ def dress_eigenfunctions(
     _require_same_grid(chi, pair1.chi, "solutions and the seed pair")
     _require_same_grid(chi, phi, "chi and phi")
     try:
-        chi1_inv = _inv(pair1.chi.values, tol, "chi")
+        chi1_inv = _inv(pair1.chi.values, "chi")
     except SingularEigenfunction as exc:
         # report the first singular grid index of either family; chi wins a tie
-        _inv(pair1.phi.values[: exc.z_index], tol, "phi")
+        _inv(pair1.phi.values[: exc.z_index], "phi")
         raise
-    phi1_inv = _inv(pair1.phi.values, tol, "phi")
+    phi1_inv = _inv(pair1.phi.values, "phi")
     lam1 = pair1.lam
     new_chi = lam * phi.values - lam1 * (pair1.phi.values @ chi1_inv @ chi.values)
     new_phi = lam * chi.values - lam1 * (pair1.chi.values @ phi1_inv @ phi.values)
@@ -272,15 +272,12 @@ class DressingChain:
     """Recursive dressing state: level k uses only levels below it.
 
     Levels are computed in order; ``compute_level`` refuses out-of-order
-    requests.  ``solution(k)`` returns u[k] with u[0] the seed.
+    requests.  ``solution(k)`` returns u[k] with u[0] the seed.  The chain
+    also keeps the levels of the quasideterminant route, which
+    ``quasidet_solution_form`` extends in the same order.
     """
 
-    def __init__(
-        self,
-        seed: GridFunction,
-        eigenpairs: list[Eigenpair],
-        tol: float = SINGULARITY_TOL,
-    ):
+    def __init__(self, seed: GridFunction, eigenpairs: list[Eigenpair]):
         if not eigenpairs:
             raise DarbouxError("a dressing chain needs at least one eigenpair")
         lams = [p.lam for p in eigenpairs]
@@ -290,8 +287,8 @@ class DressingChain:
             _require_same_grid(seed, p.chi, "seed and eigenfunctions")
         self.seed = seed
         self.eigenpairs = list(eigenpairs)
-        self.tol = tol
         self._solutions: list[GridFunction] = [seed]
+        self._quasidet_values: list[np.ndarray] = [seed.values]
         self._dressed: list[tuple[complex, GridFunction, GridFunction]] = [
             (p.lam, p.chi, p.phi) for p in eigenpairs
         ]
@@ -321,12 +318,12 @@ class DressingChain:
         u_next = GridFunction(
             u_prev.z0,
             u_prev.h,
-            _dt_step(u_prev.values, chi.values, phi.values, lam, self.tol),
+            _dt_step(u_prev.values, chi.values, phi.values, lam),
         )
         head = Eigenpair(lam, chi, phi)
         for m in range(k, self.depth):
             lam_m, chi_m, phi_m = self._dressed[m]
-            chi_new, phi_new = dress_eigenfunctions(chi_m, phi_m, lam_m, head, self.tol)
+            chi_new, phi_new = dress_eigenfunctions(chi_m, phi_m, lam_m, head)
             self._dressed[m] = (lam_m, chi_new, phi_new)
         dets = np.abs(np.linalg.det(chi.values))
         self.audit.append(
@@ -385,14 +382,12 @@ def _omega_arrays(
 
 
 def quasidet_dressed_pair(
-    pairs: list[Eigenpair],
-    k: int,
-    tol: float = SINGULARITY_TOL,
+    pairs: list[Eigenpair], k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level-k dressed eigenfunctions as pointwise quasideterminants."""
     if k == 1:
         return pairs[0].chi.values.copy(), pairs[0].phi.values.copy()
-    carrier = ComplexMatrixCarrier(pairs[0].chi.d, tol)
+    carrier = ComplexMatrixCarrier(pairs[0].chi.d)
     try:
         return tuple(
             quasideterminant_expand(BlockMatrix(carrier, rows), k - 1, k - 1)
@@ -408,17 +403,17 @@ def quasidet_solution_form(chain: DressingChain, n: int) -> GridFunction:
 
     Level factors are the quasideterminants of the spectral-weighted arrays
     of the raw eigenpairs; assembly is the same per-level sandwich as the
-    recursive path, so the two routes cross-check each other.  Row/column
-    alternation beyond level 3 extrapolates the printed pattern; the
-    darboux report flags this.
+    recursive path, so the two routes cross-check each other.  Each level is
+    computed once per chain, in order.  Row/column alternation beyond level
+    3 extrapolates the printed pattern; the darboux report flags this.
     """
     if not (1 <= n <= chain.depth):
         raise DarbouxError(f"N must lie in [1, {chain.depth}]")
-    u_values = chain.seed.values
-    for k in range(1, n + 1):
-        chi_vals, phi_vals = quasidet_dressed_pair(chain.eigenpairs, k, chain.tol)
-        u_values = _dt_step(u_values, chi_vals, phi_vals, chain.eigenpairs[k - 1].lam, chain.tol)
-    return GridFunction(chain.seed.z0, chain.seed.h, u_values)
+    levels = chain._quasidet_values
+    for k in range(len(levels), n + 1):
+        chi_vals, phi_vals = quasidet_dressed_pair(chain.eigenpairs, k)
+        levels.append(_dt_step(levels[-1], chi_vals, phi_vals, chain.eigenpairs[k - 1].lam))
+    return GridFunction(chain.seed.z0, chain.seed.h, levels[n])
 
 
 # ---------------------------------------------------------------------------
@@ -445,9 +440,7 @@ def _fd_first_derivative(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def riccati_residual_numeric(
-    pair: Eigenpair, u: GridFunction, tol: float = SINGULARITY_TOL
-) -> np.ndarray:
+def riccati_residual_numeric(pair: Eigenpair, u: GridFunction) -> np.ndarray:
     """Per-point norm of the first-order closure of the eigenfunction ratio.
 
     Delta = chi phi^-1 pointwise, its derivative by centered finite
@@ -456,7 +449,7 @@ def riccati_residual_numeric(
     in Frobenius norm (the spectral factor stays in the linear term).
     """
     _require_same_grid(u, pair.chi, "seed and eigenfunctions")
-    delta = pair.chi.values @ _inv(pair.phi.values, tol, "phi")
+    delta = pair.chi.values @ _inv(pair.phi.values, "phi")
     d_delta = _fd_first_derivative(delta, u.h)
     rhs = (
         -4j * pair.lam * delta
@@ -495,7 +488,11 @@ def qpii_residual_numeric(u: GridFunction, c: complex) -> np.ndarray:
 
 @dataclass
 class DarbouxConfig:
-    """Run description: grid, seed, spectral values, initial conditions."""
+    """Run description: grid, seed, spectral values, initial conditions.
+
+    ``seed`` holds the seed samples, shape ``(count, d, d)``; None is the
+    vacuum.  Invalid values raise ``ConfigError`` naming the field.
+    """
 
     d: int
     z0: float
@@ -503,85 +500,97 @@ class DarbouxConfig:
     count: int
     lambdas: list[complex]
     c: complex = 0j
-    seed: object = "vacuum"
+    seed: np.ndarray | None = None
     inits: list[tuple[np.ndarray, np.ndarray]] | None = None
-    singularity_tol: float = SINGULARITY_TOL
-    consistency_tol: float = CONSISTENCY_TOL
     convergence_probe: bool = False
     echo: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.d < 1:
-            raise ConfigError("matrix dimension must be at least 1")
+            raise ConfigError("d must be at least 1")
+        if not all(cmath.isfinite(lam) for lam in self.lambdas):
+            raise ConfigError("lambdas must be finite")
         if len(set(self.lambdas)) != len(self.lambdas):
-            raise ConfigError("spectral values must be pairwise distinct")
+            raise ConfigError("lambdas must be pairwise distinct")
         if not self.lambdas:
-            raise ConfigError("at least one spectral value is required")
+            raise ConfigError("lambdas must hold at least one spectral value")
+        if not cmath.isfinite(self.c):
+            raise ConfigError("c must be finite")
         if self.count < 5:
-            raise ConfigError("grid must have at least five samples")
-        if self.h <= 0:
-            raise ConfigError("grid step must be positive")
+            raise ConfigError("grid.count must be at least 5")
+        if not math.isfinite(self.z0):
+            raise ConfigError("grid.z0 must be finite")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise ConfigError("grid.h must be finite and positive")
+        if not math.isfinite(self.z0 + self.h * (self.count - 1)):
+            raise ConfigError("grid must end at a finite z")
+        shape = (self.count, self.d, self.d)
+        if self.seed is not None and not _finite_of_shape(self.seed, shape):
+            raise ConfigError(f"seed values must be finite with shape {shape}")
         if self.inits is None:
             eye = np.eye(self.d, dtype=np.complex128)
             self.inits = [(eye, eye) for _ in self.lambdas]
         if len(self.inits) != len(self.lambdas):
-            raise ConfigError("one initial-condition pair per spectral value")
+            raise ConfigError("inits must hold one pair per spectral value")
+        if not all(_finite_of_shape(m, shape[1:]) for pair in self.inits for m in pair):
+            raise ConfigError(f"inits must be finite {self.d}x{self.d} matrices")
 
     @classmethod
     def from_json(cls, doc) -> "DarbouxConfig":
+        """Parse a config document; keys outside ``CONFIG_KEYS`` (and the
+        nested key sets) are rejected."""
         if isinstance(doc, str):
             doc = json.loads(doc)
-        try:
-            grid = doc["grid"]
-            lambdas = [_cplx(v) for v in doc["lambdas"]]
-            inits = None
-            if "inits" in doc:
-                inits = [
-                    (_cmat(item["chi"]), _cmat(item["phi"])) for item in doc["inits"]
-                ]
-            tol = doc.get("tolerances", {})
-            cfg = cls(
-                d=int(doc["d"]),
-                z0=float(grid["z0"]),
-                h=float(grid["h"]),
-                count=int(grid["count"]),
-                lambdas=lambdas,
-                c=_cplx(doc.get("c", [0.0, 0.0])),
-                seed=doc.get("seed", "vacuum"),
-                inits=inits,
-                singularity_tol=float(tol.get("singularity", SINGULARITY_TOL)),
-                consistency_tol=float(tol.get("consistency", CONSISTENCY_TOL)),
-                convergence_probe=bool(doc.get("convergence_probe", False)),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"invalid darboux config: {exc}") from exc
+        _check_keys(doc, CONFIG_KEYS, "config")
+        grid = _field(doc, "grid", lambda g: _check_keys(g, GRID_KEYS, "grid"))
+        cfg = cls(
+            d=_field(doc, "d", int),
+            z0=_field(grid, "z0", float, "grid.z0"),
+            h=_field(grid, "h", float, "grid.h"),
+            count=_field(grid, "count", int, "grid.count"),
+            lambdas=_field(doc, "lambdas", lambda v: [_cplx(e) for e in v]),
+            c=_field(doc, "c", _cplx, default=0j),
+            seed=_field(doc, "seed", _seed_samples, default=None),
+            inits=_field(doc, "inits", _init_pairs, default=None),
+            convergence_probe=_field(doc, "convergence_probe", bool, default=False),
+        )
         cfg.echo = doc
         return cfg
 
     def seed_grid(self) -> GridFunction:
-        if self.seed == "vacuum":
+        if self.seed is None:
             return vacuum_seed(self.z0, self.h, self.count, self.d)
-        if isinstance(self.seed, dict) and "values" in self.seed:
-            values = np.array(
-                [_cmat(v) for v in self.seed["values"]], dtype=np.complex128
-            )
-            if values.shape != (self.count, self.d, self.d):
-                raise ConfigError(
-                    f"seed values shape {values.shape} does not match the grid"
-                )
-            return GridFunction(self.z0, self.h, values)
-        if isinstance(self.seed, dict) and "file" in self.seed:
-            with open(self.seed["file"], "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            return DarbouxConfig(
-                d=self.d,
-                z0=self.z0,
-                h=self.h,
-                count=self.count,
-                lambdas=self.lambdas,
-                seed={"values": payload["values"]},
-            ).seed_grid()
-        raise ConfigError(f"unknown seed specification {self.seed!r}")
+        return GridFunction(self.z0, self.h, self.seed)
+
+
+CONFIG_KEYS = frozenset({"d", "grid", "lambdas", "c", "seed", "inits", "convergence_probe"})
+GRID_KEYS = frozenset({"z0", "h", "count"})
+SEED_KEYS = frozenset({"values", "file"})
+INIT_KEYS = frozenset({"chi", "phi"})
+_REQUIRED = object()
+
+
+def _check_keys(obj, allowed: frozenset, where: str):
+    """``obj`` itself, if it is an object whose keys all lie in ``allowed``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = sorted(set(obj) - allowed)
+    if unknown:
+        raise ConfigError(f"unknown keys in {where}: {', '.join(unknown)}")
+    return obj
+
+
+def _field(obj: dict, key: str, parse, name: str | None = None, default=_REQUIRED):
+    """``parse(obj[key])``; a missing or unparsable value raises ``ConfigError``."""
+    name = name or key
+    if key not in obj:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {name}")
+        return default
+    try:
+        return parse(obj[key])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
 def _cplx(v) -> complex:
@@ -589,11 +598,51 @@ def _cplx(v) -> complex:
         return complex(v)
     if isinstance(v, list) and len(v) == 2:
         return complex(float(v[0]), float(v[1]))
-    raise ConfigError(f"cannot parse complex value {v!r}")
+    raise ValueError(f"cannot parse complex value {v!r}")
 
 
 def _cmat(v) -> np.ndarray:
     return np.array([[_cplx(e) for e in row] for row in v], dtype=np.complex128)
+
+
+def _cmats(v) -> np.ndarray:
+    return np.array([_cmat(m) for m in v], dtype=np.complex128)
+
+
+def _finite_of_shape(a: np.ndarray, shape: tuple) -> bool:
+    return a.shape == shape and bool(np.isfinite(a).all())
+
+
+def _init_pairs(items) -> list[tuple[np.ndarray, np.ndarray]]:
+    pairs = []
+    for item in items:
+        _check_keys(item, INIT_KEYS, "inits item")
+        chi = _field(item, "chi", _cmat, "inits.chi")
+        pairs.append((chi, _field(item, "phi", _cmat, "inits.phi")))
+    return pairs
+
+
+def _seed_samples(spec) -> np.ndarray | None:
+    """Samples of the ``seed`` entry: ``"vacuum"`` (None), inline ``values``,
+    or a JSON ``file`` holding ``{"values": ...}``."""
+    if spec == "vacuum":
+        return None
+    _check_keys(spec, SEED_KEYS, "seed")
+    if "values" in spec:
+        return _field(spec, "values", _cmats, "seed.values")
+    if "file" not in spec:
+        raise ConfigError("seed needs values or file")
+    path = spec["file"]
+    if not isinstance(path, str):
+        raise ConfigError("seed.file must be a path string")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read seed.file: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("seed.file must hold an object with values")
+    return _field(payload, "values", _cmats, "seed.file values")
 
 
 def run_config(config: DarbouxConfig) -> dict:
@@ -603,7 +652,7 @@ def run_config(config: DarbouxConfig) -> dict:
         integrate_linear_system(seed, lam, init_chi, init_phi)
         for lam, (init_chi, init_phi) in zip(config.lambdas, config.inits)
     ]
-    chain = DressingChain(seed, pairs, tol=config.singularity_tol)
+    chain = DressingChain(seed, pairs)
     n = len(pairs)
 
     levels = []
@@ -618,14 +667,14 @@ def run_config(config: DarbouxConfig) -> dict:
                 "level": k,
                 "lambda": chain.eigenpairs[k - 1].lam,
                 "path_deviation_max": deviation,
-                "within_tolerance": deviation <= config.consistency_tol,
+                "within_tolerance": deviation <= CONSISTENCY_TOL,
                 "max_norm_u": u_rec.max_norm(),
             }
         )
 
     riccati = []
     for pair in pairs:
-        res = riccati_residual_numeric(pair, seed, tol=config.singularity_tol)
+        res = riccati_residual_numeric(pair, seed)
         riccati.append(
             {
                 "lambda": pair.lam,
@@ -644,8 +693,8 @@ def run_config(config: DarbouxConfig) -> dict:
         "config": config.echo or None,
         "grid": {"z0": config.z0, "h": config.h, "count": config.count, "d": config.d},
         "tolerances": {
-            "singularity": config.singularity_tol,
-            "consistency": config.consistency_tol,
+            "singularity": SINGULARITY_TOL,
+            "consistency": CONSISTENCY_TOL,
         },
         "levels": levels,
         "audit": chain.audit,
@@ -671,22 +720,17 @@ def run_config(config: DarbouxConfig) -> dict:
     return report
 
 
-def integrator_convergence_table(
-    d: int = 1,
-    lam: complex = 1 + 0.5j,
-    z0: float = 0.0,
-    z1: float = 1.0,
-    steps: tuple[float, ...] = (1e-2, 5e-3, 2.5e-3, 1.25e-3),
-) -> dict:
-    """Endpoint error against the trivial-seed closed form per step size."""
+def integrator_convergence_table(d: int = 1, lam: complex = 1 + 0.5j) -> dict:
+    """Endpoint error on [0, 1] against the trivial-seed closed form, for the
+    step sizes 1e-2, 5e-3, 2.5e-3 and 1.25e-3."""
     errors = []
-    for h in steps:
-        count = int(round((z1 - z0) / h)) + 1
-        u = vacuum_seed(z0, h, count, d)
+    for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
+        count = int(round(1.0 / h)) + 1
+        u = vacuum_seed(0.0, h, count, d)
         pair = integrate_linear_system(u, lam, np.eye(d), np.eye(d))
-        z_end = z0 + (count - 1) * h
-        chi_exact = np.exp(-2j * lam * (z_end - z0)) * np.eye(d)
-        phi_exact = np.exp(2j * lam * (z_end - z0)) * np.eye(d)
+        z_end = (count - 1) * h
+        chi_exact = np.exp(-2j * lam * z_end) * np.eye(d)
+        phi_exact = np.exp(2j * lam * z_end) * np.eye(d)
         err = max(
             float(np.linalg.norm(pair.chi.values[-1] - chi_exact)),
             float(np.linalg.norm(pair.phi.values[-1] - phi_exact)),

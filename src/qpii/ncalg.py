@@ -81,9 +81,6 @@ DEFAULT_CENTRALS: tuple[tuple[str, int | None], ...] = (
     ("l", None),
 )
 
-ALPHA_CENTRALS: tuple[tuple[str, int | None], ...] = (("a0", 0), ("a1", 0))
-
-
 class Algebra:
     """A free algebra over a fixed alphabet with exact central coefficients."""
 
@@ -170,10 +167,9 @@ class Algebra:
             raise NCAlgebraError(f"unknown central symbol {name!r}") from None
 
 
-def default_algebra(include_alphas: bool = False) -> Algebra:
-    """The shipped alphabet; ``include_alphas`` adds the constants a0, a1."""
-    centrals = DEFAULT_CENTRALS + (ALPHA_CENTRALS if include_alphas else ())
-    return Algebra(DEFAULT_ALPHABET, centrals, DEFAULT_INVERSE_PAIRS)
+def default_algebra() -> Algebra:
+    """The shipped alphabet, central symbols and inverse pairs."""
+    return Algebra(DEFAULT_ALPHABET, DEFAULT_CENTRALS, DEFAULT_INVERSE_PAIRS)
 
 
 # ---------------------------------------------------------------------------
@@ -544,24 +540,18 @@ class RewriteSystem:
         containing ``z f2' f2`` (its constant would need the opposite sign
         of i/2 to close that overlap).
         """
-        i_half_h = algebra.scalar(0, Fraction(1, 2)) * algebra.central("h")
-        lam_h = algebra.central("l") * algebra.central("h")
+        kappa = quantum_z_f2_constant(algebra)
         rules = [
-            RewriteRule(
-                ("z", "f2"), algebra.word(("f2", "z")) + i_half_h * algebra.gen("f2")
-            ),
+            RewriteRule(("z", "f2"), algebra.word(("f2", "z")) + kappa * algebra.gen("f2")),
             RewriteRule(
                 ("f2'", "f2"),
-                algebra.word(("f2", "f2'")) - 4 * lam_h,
+                algebra.word(("f2", "f2'")) + quantum_f2prime_f2_constant(algebra),
             ),
         ]
         if include_z_f2prime:
             rules.insert(
                 1,
-                RewriteRule(
-                    ("z", "f2'"),
-                    algebra.word(("f2'", "z")) + i_half_h * algebra.gen("f2'"),
-                ),
+                RewriteRule(("z", "f2'"), algebra.word(("f2'", "z")) + kappa * algebra.gen("f2'")),
             )
         return cls(algebra, rules)
 

@@ -96,13 +96,12 @@ class ComplexMatrixCarrier:
     """Square complex-matrix blocks of a fixed dimension.
 
     An element is one ``(dim, dim)`` block or a ``(count, dim, dim)`` stack.
-    Inversion is partial-pivot Gauss-Jordan with a relative singularity
-    cutoff, matching the numeric backend.
+    Inversion is partial-pivot Gauss-Jordan with the relative singularity
+    cutoff ``SINGULARITY_TOL``, shared with the numeric backend.
     """
 
-    def __init__(self, dim: int, tolerance: float = 1e-12):
+    def __init__(self, dim: int):
         self.dim = dim
-        self.tolerance = tolerance
 
     def _coerce(self, a) -> np.ndarray:
         arr = np.asarray(a, dtype=np.complex128)
@@ -126,17 +125,22 @@ class ComplexMatrixCarrier:
         return a @ b
 
     def invert(self, a):
-        return invert_complex_matrix(self._coerce(a), self.tolerance)
+        return invert_complex_matrix(self._coerce(a))
 
 
-def invert_complex_matrix(a: np.ndarray, tolerance: float = 1e-12) -> np.ndarray:
-    """Partial-pivot Gauss-Jordan inverse with a relative pivot cutoff.
+# A pivot whose magnitude is at most this fraction of the largest entry of its
+# matrix counts as zero: the matrix is singular and no inverse is returned.
+SINGULARITY_TOL = 1e-12
+
+
+def invert_complex_matrix(a: np.ndarray) -> np.ndarray:
+    """Partial-pivot Gauss-Jordan inverse with the relative pivot cutoff.
 
     An ``(n, n)`` matrix is inverted as a stack of one, a ``(count, n, n)``
     stack in whole-stack steps; a failure carries the first failing stack
     index as ``index``.
     """
-    inv, failed = _invert_stack(a if a.ndim == 3 else a[None], tolerance)
+    inv, failed = _invert_stack(a if a.ndim == 3 else a[None])
     if failed.any():
         index = int(np.argmax(failed))
         err = ZeroDivisionError(f"pivot below tolerance at stack index {index}")
@@ -145,7 +149,7 @@ def invert_complex_matrix(a: np.ndarray, tolerance: float = 1e-12) -> np.ndarray
     return inv if a.ndim == 3 else inv[0]
 
 
-def _invert_stack(a: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
+def _invert_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked inverse and the mask of matrices whose pivot fell below the cutoff."""
     count, n, _ = a.shape
     scale = np.max(np.abs(a), axis=(1, 2))
@@ -154,7 +158,7 @@ def _invert_stack(a: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarr
     failed = np.zeros(count, dtype=bool)
     for k in range(n):
         pivot_row = k + np.argmax(np.abs(w[:, k:, k]), axis=1)
-        failed |= np.abs(w[stack, pivot_row, k]) <= tolerance * scale
+        failed |= np.abs(w[stack, pivot_row, k]) <= SINGULARITY_TOL * scale
         row_k = w[:, k].copy()
         w[:, k] = w[stack, pivot_row]
         w[stack, pivot_row] = row_k
@@ -235,7 +239,7 @@ def _invert_flattened(M: BlockMatrix) -> BlockMatrix:
     # (row, col, stack, i, j) -> (stack, row, i, col, j): block (r, c) entry
     # (i, j) becomes scalar entry (r*d + i, c*d + j)
     flat = blocks.reshape(n, n, -1, d, d).transpose(2, 0, 3, 1, 4).reshape(-1, n * d, n * d)
-    inv = invert_complex_matrix(flat, car.tolerance).reshape(-1, n, d, n, d)
+    inv = invert_complex_matrix(flat).reshape(-1, n, d, n, d)
     inv = np.ascontiguousarray(inv.transpose(1, 3, 0, 2, 4)).reshape(n, n, *lead, d, d)
     return BlockMatrix(car, [[inv[r, c] for c in range(n)] for r in range(n)])
 
@@ -388,7 +392,8 @@ def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
     Position (i, j) is ``((M^-1)_ji)^-1``.  Where that entry does not invert,
     or where ``M`` itself does not, the position is evaluated by
     ``quasideterminant_expand`` instead, so a singular minor raises the same
-    ``NonInvertibleMinor`` as the per-position path.  For n = 1 the single
+    ``NonInvertibleMinor`` as the per-position path.  Complex entries of the
+    inverse are inverted together in one kernel call.  For n = 1 the single
     entry is returned as is.
     """
     if M.n == 1:
@@ -398,12 +403,26 @@ def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
         inv = invert_by_elimination(M)
     except ZeroDivisionError:
         return {(i, j): quasideterminant_expand(M, i, j) for i, j in positions}
-    out = {}
-    for i, j in positions:
+    values = _invert_entries(M.carrier, [inv[(j, i)] for i, j in positions])
+    return {
+        (i, j): quasideterminant_expand(M, i, j) if value is None else value
+        for (i, j), value in zip(positions, values)
+    }
+
+
+def _invert_entries(car, entries: list) -> list:
+    """The inverse of each entry, or None where it does not invert."""
+    if isinstance(car, ComplexMatrixCarrier):
+        stack = np.stack(entries)
+        inv, failed = _invert_stack(stack.reshape(-1, car.dim, car.dim))
+        failed = failed.reshape(len(entries), -1).any(axis=1)
+        return [None if bad else value for bad, value in zip(failed, inv.reshape(stack.shape))]
+    out = []
+    for entry in entries:
         try:
-            out[(i, j)] = M.carrier.invert(inv[(j, i)])
+            out.append(car.invert(entry))
         except ZeroDivisionError:
-            out[(i, j)] = quasideterminant_expand(M, i, j)
+            out.append(None)
     return out
 
 

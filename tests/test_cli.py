@@ -1,9 +1,12 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpii.cli import main
 
@@ -161,6 +164,97 @@ def test_darboux_reports_structured_error(tmp_path, capsys):
     assert code == 1
     doc = json.loads(out)
     assert doc["error"]["type"] == "ConfigError"
+
+
+def _config(**changes):
+    doc = {
+        "d": 2,
+        "grid": {"z0": 0.0, "h": 0.1, "count": 11},
+        "lambdas": [[1.0, 0.5], [0.3, -0.2]],
+        "c": [0.0, 0.0],
+        "seed": {"values": [[[[0.0, 0.0]] * 2] * 2] * 11},
+        "inits": [{"chi": [[1, 0], [0, 1]], "phi": [[1, 0.2], [0, 1]]}] * 2,
+        "convergence_probe": False,
+    }
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "changes, field",
+    [
+        ({"tolerances": {"consistency": 1e3}}, "tolerances"),
+        ({"grid": {"z0": 0, "h": 0.1, "count": 11, "dz": 1}}, "dz"),
+        ({"seed": {"values": [1]}}, "seed.values"),
+        ({"lambdas": [[1e400, 0], [0.3, -0.2]]}, "lambdas"),
+        ({"grid": {"z0": 0, "h": "nan", "count": 11}}, "grid.h"),
+        ({"grid": {"z0": "inf", "h": 0.1, "count": 11}}, "grid.z0"),
+        ({"inits": [{"chi": [[1, 0, 0]] * 3, "phi": [[1, 0], [0, 1]]}] * 2}, "inits"),
+        ({"seed": {"file": "/nonexistent/seed.json"}}, "seed.file"),
+    ],
+    ids=["tolerances", "grid-key", "seed-values", "lambda-overflow", "h-nan", "z0-inf",
+         "init-size", "seed-file-missing"],
+)
+def test_darboux_rejects_malformed_config(tmp_path, capsys, changes, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_config(**changes)))
+    code, out, err = run_main(["darboux", "--config", str(config)], capsys)
+    assert (code, err) == (1, "")
+    error = json.loads(out)["error"]
+    assert error["type"] == "ConfigError"
+    assert field in error["message"]
+
+
+_DELETE = object()
+_MALFORMED = st.one_of(
+    # a field replaced by a value of the wrong type, shape or finiteness
+    st.tuples(
+        st.sampled_from(("d", "grid", "lambdas", "c", "seed", "inits", "grid.z0", "grid.h",
+                         "grid.count", "lambdas.0", "inits.0.chi", "seed.values")),
+        st.sampled_from([None, "x", [], {}, [[]], float("nan"), float("inf"), -float("inf")]),
+    ),
+    # a required key deleted
+    st.tuples(
+        st.sampled_from(("d", "grid", "lambdas", "grid.z0", "grid.h", "grid.count",
+                         "inits.0.chi", "inits.0.phi")),
+        st.just(_DELETE),
+    ),
+    # an unknown key added
+    st.tuples(
+        st.sampled_from([parent + key for parent in ("", "grid.", "seed.", "inits.0.")
+                         for key in ("tolerances", "Z0", "extra")]),
+        st.integers(0, 3),
+    ),
+)
+
+
+def _changed_config(path, value):
+    doc = json.loads(json.dumps(_config()))
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    key = int(last) if isinstance(node, list) else last
+    if value is _DELETE:
+        del node[key]
+    else:
+        node[key] = value
+    return doc
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(change=_MALFORMED)
+def test_malformed_darboux_configs_exit_1(tmp_path_factory, change):
+    # a numpy warning fails the test as an exception
+    config = tmp_path_factory.mktemp("config") / "config.json"
+    config.write_text(json.dumps(_changed_config(*change)))
+    report = config.with_name("report.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["--output", str(report), "darboux", "--config", str(config)])
+    assert code == 1
+    assert json.loads(report.read_text())["error"]["type"] == "ConfigError"
 
 
 def test_missing_input_file_exits_1(capsys):

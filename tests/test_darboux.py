@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qpii.darboux as dbx
 from qpii.darboux import (
+    CONSISTENCY_TOL,
     ConfigError,
     DarbouxConfig,
     DivergenceError,
@@ -28,6 +30,7 @@ from qpii.darboux import (
     vacuum_seed,
 )
 from qpii.gaussian import gauss
+from qpii import quasidet
 from qpii.quasidet import (
     BlockMatrix,
     ComplexMatrixCarrier,
@@ -194,7 +197,7 @@ def test_level_three_minor_pivots_per_grid_point():
         pair(-0.7 + 0.4j, 7, (), 11, ()),
     ]
     chi, phi = quasidet_dressed_pair(pairs, 3)
-    carrier = ComplexMatrixCarrier(1, SINGULARITY_TOL)
+    carrier = ComplexMatrixCarrier(1)
     for got, rows in zip((chi, phi), _omega_arrays(pairs, 3)):
         for point in range(count):
             block = BlockMatrix(carrier, [[e[point] for e in row] for row in rows])
@@ -359,6 +362,43 @@ def test_path_consistency(d, n):
     assert dev <= 1e-8
 
 
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("rng_seed", [0, 1, 2])
+def test_path_consistency_levels_four_and_five(d, rng_seed):
+    # random noncommuting inits; the two routes agree to round-off relative
+    # to the size of the dressed solution
+    rng = np.random.default_rng(rng_seed)
+    lams = rng.uniform(-1, 1, 5) + 1j * rng.uniform(-1, 1, 5)
+
+    def init():
+        return np.eye(d) + 0.3 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+    _seed, chain = chain_for(list(lams), d=d, count=51, inits=[(init(), init()) for _ in lams])
+    for n in (4, 5):
+        u_rec = darboux_nfold(chain, n)
+        u_qd = quasidet_solution_form(chain, n)
+        dev = np.max(np.linalg.norm(u_rec.values - u_qd.values, axis=(1, 2)))
+        assert dev <= 1e-10 * max(1.0, u_rec.max_norm())
+
+
+def test_quasidet_levels_computed_once_per_chain(monkeypatch):
+    calls = []
+    inner = dbx.quasidet_dressed_pair
+
+    def counting(pairs, k):
+        calls.append(k)
+        return inner(pairs, k)
+
+    monkeypatch.setattr(dbx, "quasidet_dressed_pair", counting)
+    doc = {
+        "d": 1,
+        "grid": {"z0": 0.0, "h": 1e-2, "count": 51},
+        "lambdas": [[1.0, 0.5], [0.3, -0.2], [-0.7, 0.4]],
+    }
+    run_config(DarbouxConfig.from_json(doc))
+    assert calls == [1, 2, 3]
+
+
 def test_level_order_enforced():
     _seed, chain = chain_for([LAM, 0.3 - 0.2j])
     with pytest.raises(LevelOrderViolation):
@@ -428,6 +468,8 @@ def test_config_from_json_and_run_deterministic():
     r2 = run_config(DarbouxConfig.from_json(json.dumps(doc)))
     assert dumps(r1) == dumps(r2)
     assert all(level["within_tolerance"] for level in r1["levels"])
+    assert r1["tolerances"] == {"singularity": SINGULARITY_TOL, "consistency": CONSISTENCY_TOL}
+    assert SINGULARITY_TOL == quasidet.SINGULARITY_TOL == 1e-12
     assert r1["qpii_residual"]["final_max"] > 0.0
 
 
@@ -441,15 +483,20 @@ def test_config_rejects_duplicate_lambdas():
         DarbouxConfig.from_json(json.dumps(doc))
 
 
-def test_config_seed_values_roundtrip():
+def test_config_seed_values_roundtrip(tmp_path):
     count = 7
+    values = [[[[0.1 * k, 0.0]]] for k in range(count)]
     doc = {
         "d": 1,
         "grid": {"z0": 0.0, "h": 0.1, "count": count},
         "lambdas": [[1.0, 0.5]],
-        "seed": {"values": [[[[0.1 * k, 0.0]]] for k in range(count)]},
+        "seed": {"values": values},
     }
     cfg = DarbouxConfig.from_json(json.dumps(doc))
     seed = cfg.seed_grid()
     assert seed.values.shape == (count, 1, 1)
     assert abs(seed.values[3, 0, 0] - 0.3) < 1e-15
+    seed_file = tmp_path / "seed.json"
+    seed_file.write_text(json.dumps({"values": values}))
+    doc["seed"] = {"file": str(seed_file)}
+    assert np.array_equal(DarbouxConfig.from_json(doc).seed_grid().values, seed.values)

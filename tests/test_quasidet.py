@@ -202,6 +202,48 @@ def test_all_quasideterminants_uses_one_inverse(monkeypatch):
     assert len(all_quasideterminants(E)) == 16
 
 
+def test_all_quasideterminants_inverts_complex_entries_together(monkeypatch):
+    # the n^2 entries of the inverse go through one stacked kernel call,
+    # bit for bit what one call per entry returns
+    M = random_block_matrix(random.Random(7), 5, 3)
+    inv = invert_by_elimination(M)
+    want = {(i, j): invert_complex_matrix(inv[(j, i)]) for i in range(5) for j in range(5)}
+
+    def refuse(*_args):
+        raise AssertionError("complex entry inverted on its own")
+
+    monkeypatch.setattr(ComplexMatrixCarrier, "invert", refuse)
+    got = all_quasideterminants(M)
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[p], want[p]) for p in want)
+
+
+def test_all_quasideterminants_over_stacked_blocks():
+    # elements stacked over 4 points equal the evaluation at each point; then
+    # point 2 becomes a block permutation matrix, whose inverse has an exact
+    # zero entry (0, 0): only that position falls back to the expand path,
+    # which raises for the whole stack
+    rng = random.Random(8)
+    points = [random_block_matrix(rng, 3, 2) for _ in range(4)]
+    stacked = BlockMatrix(
+        points[0].carrier,
+        [[np.stack([p[(r, c)] for p in points]) for c in range(3)] for r in range(3)],
+    )
+    got = all_quasideterminants(stacked)
+    for k, point in enumerate(points):
+        at_point = all_quasideterminants(point)
+        assert all(np.array_equal(got[pos][k], at_point[pos]) for pos in at_point)
+    swap = [[0, 1, 0], [1, 0, 0], [0, 0, 1]]
+    for r in range(3):
+        for c in range(3):
+            stacked.rows[r][c] = stacked.rows[r][c].copy()
+            stacked.rows[r][c][2] = swap[r][c] * np.eye(2)
+    invert_by_elimination(stacked)
+    with pytest.raises(NonInvertibleMinor) as err:
+        all_quasideterminants(stacked)
+    assert (err.value.row, err.value.col) == (0, 0)
+
+
 def test_singular_minor_raises():
     M = exact_matrix([[1, 2], [0, 0]])
     with pytest.raises(NonInvertibleMinor) as err:
