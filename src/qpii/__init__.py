@@ -45,6 +45,7 @@ from .darboux import (
     darboux_nfold,
     darboux_once,
     dress_eigenfunctions,
+    integrate_eigenpairs,
     integrate_linear_system,
     qpii_residual_numeric,
     quasidet_solution_form,

@@ -244,11 +244,8 @@ def criterion_9_dressing_consistency() -> dict:
     bitwise_ok = True
     for d in (1, 2):
         seed = dbx.vacuum_seed(0.0, 5e-3, 201, d)
-        pairs = []
-        for idx, lam in enumerate(lams):
-            inits = inits_by_dim[d]
-            ic, ip = (np.eye(d), np.eye(d)) if inits is None else inits[idx]
-            pairs.append(dbx.integrate_linear_system(seed, lam, ic, ip))
+        inits = inits_by_dim[d] or [(np.eye(d), np.eye(d))] * len(lams)
+        pairs = dbx.integrate_eigenpairs(seed, lams, inits)
         chain = dbx.DressingChain(seed, pairs)
         once = dbx.darboux_once(seed, pairs[0])
         u1 = dbx.darboux_nfold(chain, 1)

@@ -1,12 +1,15 @@
 """Numeric dressing-chain backend on uniform grids.
 
 Integrates the first-order linear system for matrix-valued seeds with the
-classical four-stage Runge-Kutta scheme, applies one-fold and N-fold
-transformations, builds the quasideterminant eigenfunction forms, and
-computes residual diagnostics.  The deformation constant is fixed to zero
-here: with a scalar grid variable the commutation constraint can only hold
-trivially, so the deformed content is verified symbolically while the
-matrix-valued (noncommutative) content is exercised numerically.
+classical four-stage Runge-Kutta scheme.  The system is linear, so each step
+is a propagator Y_{k+1} = Y_k + Q_k Y_k on the stacked pair Y = [chi; phi],
+with the Q_k built for all spectral values and a chunk of steps at once.
+It applies one-fold and N-fold transformations, builds the quasideterminant
+eigenfunction forms, and computes residual diagnostics.  The deformation
+constant is fixed to zero here: with a scalar grid variable the commutation
+constraint can only hold trivially, so the deformed content is verified
+symbolically while the matrix-valued (noncommutative) content is exercised
+numerically.
 """
 
 from __future__ import annotations
@@ -155,51 +158,79 @@ def _midpoint_samples(values: np.ndarray) -> np.ndarray:
     return mids
 
 
+# Grid steps whose propagators are built at once: bounds the stage stacks
+# to a few hundred kilobytes whatever the grid length.
+_CHUNK_STEPS = 128
+
+
+def _system_matrices(u_values: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """M = [[u - 2 i lam, u], [u, u + 2 i lam]] per sample and spectral value,
+    shape ``(samples, len(lams), 2d, 2d)``."""
+    d = u_values.shape[1]
+    m = np.tile(u_values, (1, 2, 2))[:, None].repeat(len(lams), axis=1)
+    diag = np.arange(2 * d)
+    m[:, :, diag, diag] += np.outer(2j * lams, np.repeat([-1.0, 1.0], d))
+    return m
+
+
+def integrate_eigenpairs(
+    u: GridFunction, lams: list[complex], inits: list[tuple[np.ndarray, np.ndarray]]
+) -> list[Eigenpair]:
+    """Classical four-stage Runge-Kutta for the coupled first-order system,
+    all spectral values at once.
+
+    With Y = [chi; phi] stacked, the system is Y' = M Y where
+    chi' = (-2 i lam + u) chi + u phi,  phi' = u chi + (2 i lam + u) phi.
+    Being linear, one RK4 step is Y_{k+1} = Y_k + Q_k Y_k with
+    K1 = M0, K2 = Mm + h/2 Mm K1, K3 = Mm + h/2 Mm K2, K4 = M1 + h M1 K3
+    and Q = h/6 (K1 + 2 K2 + 2 K3 + K4); the Q of a chunk of steps are built
+    as whole-array stacks, then applied step by step.  Midpoint seed values
+    come from cubic interpolation, so the single-step order of the scheme is
+    preserved for smooth seeds.  The first spectral value, in the given
+    order, whose state turns non-finite raises ``DivergenceError``.
+    """
+    d, n, h = u.d, u.count, u.h
+    lam_arr = np.array(lams, dtype=np.complex128)
+    mids = _midpoint_samples(u.values)
+    ys = np.empty((n, len(lams), 2 * d, d), dtype=np.complex128)
+    for j, (init_chi, init_phi) in enumerate(inits):
+        ys[0, j, :d] = np.asarray(init_chi, dtype=np.complex128).reshape(d, d)
+        ys[0, j, d:] = np.asarray(init_phi, dtype=np.complex128).reshape(d, d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a in range(0, n - 1, _CHUNK_STEPS):
+            b = min(a + _CHUNK_STEPS, n - 1)
+            ends = _system_matrices(u.values[a : b + 1], lam_arr)
+            m0, m1 = ends[:-1], ends[1:]
+            mm = _system_matrices(mids[a:b], lam_arr)
+            k2 = mm + (0.5 * h) * (mm @ m0)
+            k3 = mm + (0.5 * h) * (mm @ k2)
+            k4 = m1 + h * (m1 @ k3)
+            q = (h / 6.0) * (m0 + 2 * k2 + 2 * k3 + k4)
+            # the increment form Y + Q Y, not (I + Q) Y: adding I to Q would
+            # round away the low bits of every step
+            for k in range(a, b):
+                np.matmul(q[k - a], ys[k], out=ys[k + 1])
+                ys[k + 1] += ys[k]
+    pairs = []
+    for j, lam in enumerate(lams):
+        y = ys[:, j]
+        # a non-finite entry stays non-finite in every later step, so the
+        # first bad step is the first non-finite sample after the initial one
+        bad = ~np.isfinite(y[1:]).all(axis=(1, 2))
+        if bad.any():
+            raise DivergenceError(u.z0 + (int(np.argmax(bad)) + 1) * h)
+        pairs.append(
+            Eigenpair(lam, GridFunction(u.z0, h, y[:, :d]), GridFunction(u.z0, h, y[:, d:]))
+        )
+    return pairs
+
+
 def integrate_linear_system(
     u: GridFunction, lam: complex, init_chi: np.ndarray, init_phi: np.ndarray
 ) -> Eigenpair:
-    """Classical four-stage Runge-Kutta for the coupled first-order system.
-
-    chi' = (-2 i lam + u) chi + u phi,  phi' = u chi + (2 i lam + u) phi.
-    Midpoint seed values come from cubic interpolation, so the single-step
-    order of the scheme is preserved for smooth seeds.
-    """
-    d = u.d
-    init_chi = np.asarray(init_chi, dtype=np.complex128).reshape(d, d)
-    init_phi = np.asarray(init_phi, dtype=np.complex128).reshape(d, d)
-    n, h = u.count, u.h
-    mids = _midpoint_samples(u.values)
-    two_i_lam = 2j * lam * np.eye(d)
-
-    def rhs(uval, chi, phi):
-        return (
-            (-two_i_lam + uval) @ chi + uval @ phi,
-            uval @ chi + (two_i_lam + uval) @ phi,
-        )
-
-    chis = np.empty((n, d, d), dtype=np.complex128)
-    phis = np.empty((n, d, d), dtype=np.complex128)
-    chis[0], phis[0] = init_chi, init_phi
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            u0, um, u1 = u.values[k], mids[k], u.values[k + 1]
-            c, p = chis[k], phis[k]
-            k1c, k1p = rhs(u0, c, p)
-            k2c, k2p = rhs(um, c + 0.5 * h * k1c, p + 0.5 * h * k1p)
-            k3c, k3p = rhs(um, c + 0.5 * h * k2c, p + 0.5 * h * k2p)
-            k4c, k4p = rhs(u1, c + h * k3c, p + h * k3p)
-            chis[k + 1] = c + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
-            phis[k + 1] = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
-    # a non-finite entry stays non-finite in every later step, so the first
-    # bad step is the first non-finite sample after the initial one
-    bad = ~(np.isfinite(chis[1:]).all(axis=(1, 2)) & np.isfinite(phis[1:]).all(axis=(1, 2)))
-    if bad.any():
-        raise DivergenceError(u.z0 + (int(np.argmax(bad)) + 1) * h)
-    return Eigenpair(
-        lam,
-        GridFunction(u.z0, h, chis),
-        GridFunction(u.z0, h, phis),
-    )
+    """One spectral value of ``integrate_eigenpairs``: the RK4 propagator
+    step Y_{k+1} = Y_k + Q_k Y_k for Y = [chi; phi]."""
+    return integrate_eigenpairs(u, [lam], [(init_chi, init_phi)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -522,6 +553,9 @@ class DarbouxConfig:
             raise ConfigError("grid.z0 must be finite")
         if not (math.isfinite(self.h) and self.h > 0):
             raise ConfigError("grid.h must be finite and positive")
+        if self.h * self.h < np.finfo(np.float64).tiny:
+            # the second difference of the residual divides by h * h
+            raise ConfigError("grid.h is too small: h * h underflows")
         if not math.isfinite(self.z0 + self.h * (self.count - 1)):
             raise ConfigError("grid must end at a finite z")
         shape = (self.count, self.d, self.d)
@@ -544,15 +578,15 @@ class DarbouxConfig:
         _check_keys(doc, CONFIG_KEYS, "config")
         grid = _field(doc, "grid", lambda g: _check_keys(g, GRID_KEYS, "grid"))
         cfg = cls(
-            d=_field(doc, "d", int),
+            d=_field(doc, "d", _int),
             z0=_field(grid, "z0", float, "grid.z0"),
             h=_field(grid, "h", float, "grid.h"),
-            count=_field(grid, "count", int, "grid.count"),
+            count=_field(grid, "count", _int, "grid.count"),
             lambdas=_field(doc, "lambdas", lambda v: [_cplx(e) for e in v]),
             c=_field(doc, "c", _cplx, default=0j),
             seed=_field(doc, "seed", _seed_samples, default=None),
             inits=_field(doc, "inits", _init_pairs, default=None),
-            convergence_probe=_field(doc, "convergence_probe", bool, default=False),
+            convergence_probe=_field(doc, "convergence_probe", _bool, default=False),
         )
         cfg.echo = doc
         return cfg
@@ -591,6 +625,18 @@ def _field(obj: dict, key: str, parse, name: str | None = None, default=_REQUIRE
         return parse(obj[key])
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
+
+
+def _int(v) -> int:
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _bool(v) -> bool:
+    if type(v) is not bool:
+        raise ValueError(f"expected true or false, got {v!r}")
+    return v
 
 
 def _cplx(v) -> complex:
@@ -648,10 +694,7 @@ def _seed_samples(spec) -> np.ndarray | None:
 def run_config(config: DarbouxConfig) -> dict:
     """Full pipeline: integrate, dress both ways, collect residuals."""
     seed = config.seed_grid()
-    pairs = [
-        integrate_linear_system(seed, lam, init_chi, init_phi)
-        for lam, (init_chi, init_phi) in zip(config.lambdas, config.inits)
-    ]
+    pairs = integrate_eigenpairs(seed, config.lambdas, config.inits)
     chain = DressingChain(seed, pairs)
     n = len(pairs)
 

@@ -411,11 +411,19 @@ def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
 
 
 def _invert_entries(car, entries: list) -> list:
-    """The inverse of each entry, or None where it does not invert."""
+    """The inverse of each entry, or None where it does not invert.
+
+    Complex entries are the whole inverse; one at most ``SINGULARITY_TOL``
+    times the inverse's largest magnitude at the same stack index is
+    round-off of an exact zero and counts as not invertible.
+    """
     if isinstance(car, ComplexMatrixCarrier):
         stack = np.stack(entries)
         inv, failed = _invert_stack(stack.reshape(-1, car.dim, car.dim))
-        failed = failed.reshape(len(entries), -1).any(axis=1)
+        failed = failed.reshape(len(entries), -1)
+        mags = np.abs(stack).max(axis=(-2, -1)).reshape(len(entries), -1)
+        failed |= mags <= SINGULARITY_TOL * mags.max(axis=0)
+        failed = failed.any(axis=1)
         return [None if bad else value for bad, value in zip(failed, inv.reshape(stack.shape))]
     out = []
     for entry in entries:

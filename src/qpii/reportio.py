@@ -18,6 +18,9 @@ from .gaussian import GaussianRational
 
 def jsonable(obj):
     """Recursively convert report values into JSON-serializable ones."""
+    # exact types only: np.float64 subclasses float and takes its own branch
+    if obj is None or type(obj) in (float, int, str, bool):
+        return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

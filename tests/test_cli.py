@@ -192,9 +192,15 @@ def _config(**changes):
         ({"grid": {"z0": "inf", "h": 0.1, "count": 11}}, "grid.z0"),
         ({"inits": [{"chi": [[1, 0, 0]] * 3, "phi": [[1, 0], [0, 1]]}] * 2}, "inits"),
         ({"seed": {"file": "/nonexistent/seed.json"}}, "seed.file"),
+        ({"grid": {"z0": 0, "h": 1e-200, "count": 11}}, "grid.h"),
+        ({"d": 1.9}, "invalid d"),
+        ({"d": True}, "invalid d"),
+        ({"grid": {"z0": 0, "h": 0.1, "count": 11.9}}, "grid.count"),
+        ({"convergence_probe": "false"}, "convergence_probe"),
     ],
     ids=["tolerances", "grid-key", "seed-values", "lambda-overflow", "h-nan", "z0-inf",
-         "init-size", "seed-file-missing"],
+         "init-size", "seed-file-missing", "h-underflow", "d-float", "d-bool",
+         "count-float", "probe-string"],
 )
 def test_darboux_rejects_malformed_config(tmp_path, capsys, changes, field):
     config = tmp_path / "config.json"

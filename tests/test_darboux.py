@@ -91,6 +91,90 @@ def test_divergence_reports_first_non_finite_step():
     assert err.value.z == 0.49
 
 
+def rk4_step_loop(u, lam, init_chi, init_phi):
+    """Test oracle: the RK4 scheme one grid step and one spectral value at a
+    time, four right-hand-side evaluations per step."""
+    d, n, h = u.d, u.count, u.h
+    mids = dbx._midpoint_samples(u.values)
+    two_i_lam = 2j * lam * np.eye(d)
+
+    def rhs(uval, chi, phi):
+        return (
+            (-two_i_lam + uval) @ chi + uval @ phi,
+            uval @ chi + (two_i_lam + uval) @ phi,
+        )
+
+    chis = np.empty((n, d, d), dtype=np.complex128)
+    phis = np.empty((n, d, d), dtype=np.complex128)
+    chis[0], phis[0] = init_chi, init_phi
+    for k in range(n - 1):
+        u0, um, u1 = u.values[k], mids[k], u.values[k + 1]
+        c, p = chis[k], phis[k]
+        k1c, k1p = rhs(u0, c, p)
+        k2c, k2p = rhs(um, c + 0.5 * h * k1c, p + 0.5 * h * k1p)
+        k3c, k3p = rhs(um, c + 0.5 * h * k2c, p + 0.5 * h * k2p)
+        k4c, k4p = rhs(u1, c + h * k3c, p + h * k3p)
+        chis[k + 1] = c + (h / 6.0) * (k1c + 2 * k2c + 2 * k3c + k4c)
+        phis[k + 1] = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
+    return chis, phis
+
+
+def noncommuting_seed(d, count, h=1e-2):
+    """0.3 sin(z) I + 0.1 cos(3z) R with a fixed non-diagonal R."""
+    rng = np.random.default_rng(d)
+    r = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    zs = h * np.arange(count)[:, None, None]
+    return GridFunction(0.0, h, 0.3 * np.sin(zs) * np.eye(d) + 0.1 * np.cos(3 * zs) * r)
+
+
+BATCH_LAMS = [1 + 0.5j, 0.3 - 0.2j, -0.7 + 0.4j]
+
+
+def batch_inits(d):
+    return [(np.eye(d), np.eye(d) + 0.2 * k * np.triu(np.ones((d, d)), 1)) for k in range(3)]
+
+
+# 128 grid steps are propagated per chunk: counts on both sides of its edges
+@pytest.mark.parametrize("count", [129, 130, 257])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_propagator_matches_step_loop(d, count):
+    u = noncommuting_seed(d, count)
+    for pair, lam, (ic, ip) in zip(
+        dbx.integrate_eigenpairs(u, BATCH_LAMS, batch_inits(d)), BATCH_LAMS, batch_inits(d)
+    ):
+        chis, phis = rk4_step_loop(u, lam, ic, ip)
+        for got, want in ((pair.chi.values, chis), (pair.phi.values, phis)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_batched_integration_equals_one_value_calls(d):
+    u = noncommuting_seed(d, 257)
+    batch = dbx.integrate_eigenpairs(u, BATCH_LAMS, batch_inits(d))
+    for pair, lam, (ic, ip) in zip(batch, BATCH_LAMS, batch_inits(d)):
+        one = integrate_linear_system(u, lam, ic, ip)
+        assert pair.lam == one.lam == lam
+        assert np.array_equal(pair.chi.values, one.chi.values)
+        assert np.array_equal(pair.phi.values, one.phi.values)
+
+
+def test_batched_divergence_names_the_diverging_value():
+    u = vacuum_seed(0.0, 1e-2, 101, 1)
+    lams = [LAM, 1e200, 0.3 - 0.2j]
+    with pytest.raises(DivergenceError) as batched:
+        dbx.integrate_eigenpairs(u, lams, [(np.eye(1), np.eye(1))] * 3)
+    with pytest.raises(DivergenceError) as alone:
+        integrate_linear_system(u, 1e200, np.eye(1), np.eye(1))
+    assert batched.value.z == alone.value.z == 0.01
+    # values are checked in the given order, not by the earliest bad step
+    values = np.zeros((101, 1, 1), dtype=np.complex128)
+    values[50] = 1e300
+    with pytest.raises(DivergenceError) as err:
+        dbx.integrate_eigenpairs(GridFunction(0.0, 1e-2, values), [LAM, 1e200],
+                                 [(np.eye(1), np.eye(1))] * 2)
+    assert err.value.z == 0.49
+
+
 def test_grid_function_validation():
     with pytest.raises(Exception):
         GridFunction(0.0, 1e-2, np.zeros((1, 2, 2)))

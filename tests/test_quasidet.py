@@ -176,6 +176,21 @@ def test_all_quasideterminants_swap_matrix_raises_like_expand():
     assert str(got.value) == str(want.value) == "no invertible pivot in column 0"
 
 
+def test_all_quasideterminants_round_off_entry_raises_like_expand():
+    # the (0, 0) minor [[I, I], [I, I]] is singular, so entry (0, 0) of the
+    # inverse is zero up to round-off; inverting that noise gave a 1e16 block
+    rng = random.Random(8)
+    M = [random_block_matrix(rng, 3, 2) for _ in range(3)][-1]
+    for r in (1, 2):
+        for c in (1, 2):
+            M.rows[r][c] = np.eye(2, dtype=complex)
+    with pytest.raises(NonInvertibleMinor) as want:
+        quasideterminant_expand(M, 0, 0)
+    with pytest.raises(NonInvertibleMinor) as got:
+        all_quasideterminants(M)
+    assert (got.value.row, got.value.col, str(got.value)) == (0, 0, str(want.value))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("n", [2, 5, 8])
 def test_all_quasideterminants_blocks_match_expand(d, n):
