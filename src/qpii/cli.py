@@ -50,12 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_quasi = sub.add_parser("quasidet", help="evaluate quasideterminants of a matrix")
     p_quasi.add_argument("--input", required=True, help="JSON matrix file")
     p_quasi.add_argument(
-        "--carrier",
-        choices=("auto", "exact", "matrix"),
-        default="auto",
-        help="entry carrier (default: auto-detect)",
-    )
-    p_quasi.add_argument(
         "--position",
         nargs=2,
         type=int,
@@ -109,7 +103,7 @@ def _run_derive(target: str) -> dict:
 def _run_quasidet(args) -> dict:
     with open(args.input, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    matrix = load_matrix_json(doc, carrier=args.carrier)
+    matrix = load_matrix_json(doc)
     carrier_name = type(matrix.carrier).__name__
     if args.position:
         i, j = args.position

@@ -9,12 +9,16 @@ exact; floating point never enters this module.
 Words compare by graded rank-lexicographic order (length first, then the
 generator ranks left to right).  Every shipped rewrite rule strictly
 decreases that order, which is what guarantees termination of
-``normal_form``.
+``normal_form``.  Whether a table is also confluent, so that its normal
+form does not depend on the reduction order, is decided by
+``critical_pairs``: the free and quantum tables have none, the symmetric
+table has ``f0 f2 f1``.
 """
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -81,25 +85,16 @@ DEFAULT_CENTRALS: tuple[tuple[str, int | None], ...] = (
     ("l", None),
 )
 
-class Algebra:
-    """A free algebra over a fixed alphabet with exact central coefficients."""
 
-    def __init__(
-        self,
-        generators: Iterable[str] = DEFAULT_ALPHABET,
-        centrals: Iterable[tuple[str, int | None]] = DEFAULT_CENTRALS,
-        inverse_pairs: Iterable[tuple[str, str]] = DEFAULT_INVERSE_PAIRS,
-    ):
-        self.generators: Word = tuple(generators)
-        self.centrals: tuple[tuple[str, int | None], ...] = tuple(centrals)
+class Algebra:
+    """The free algebra over ``DEFAULT_ALPHABET`` with exact central coefficients."""
+
+    def __init__(self):
+        self.generators: Word = DEFAULT_ALPHABET
+        self.centrals: tuple[tuple[str, int | None], ...] = DEFAULT_CENTRALS
         self.central_names: tuple[str, ...] = tuple(n for n, _ in self.centrals)
-        self.inverse_pairs: tuple[tuple[str, str], ...] = tuple(inverse_pairs)
-        if len(set(self.generators)) != len(self.generators):
-            raise NCAlgebraError("duplicate generator names")
+        self.inverse_pairs: tuple[tuple[str, str], ...] = DEFAULT_INVERSE_PAIRS
         self._rank = {g: i for i, g in enumerate(self.generators)}
-        for a, b in self.inverse_pairs:
-            if a not in self._rank or b not in self._rank:
-                raise UnknownGeneratorError(f"inverse pair ({a}, {b}) not in alphabet")
         self._zero_exps: Exps = (0,) * len(self.centrals)
 
     # -- word order ----------------------------------------------------
@@ -169,7 +164,7 @@ class Algebra:
 
 def default_algebra() -> Algebra:
     """The shipped alphabet, central symbols and inverse pairs."""
-    return Algebra(DEFAULT_ALPHABET, DEFAULT_CENTRALS, DEFAULT_INVERSE_PAIRS)
+    return Algebra()
 
 
 # ---------------------------------------------------------------------------
@@ -393,9 +388,9 @@ class NCPolynomial:
                 _merge(acc, (w, ne), g * (val**exp))
         return NCPolynomial(self.algebra, acc)
 
-    def lambda_derivative(self, name: str = "l") -> "NCPolynomial":
-        """Formal Laurent derivative with respect to a central symbol."""
-        idx = self.algebra.central_index(name)
+    def lambda_derivative(self) -> "NCPolynomial":
+        """Formal Laurent derivative with respect to the spectral symbol ``l``."""
+        idx = self.algebra.central_index("l")
         acc: dict = {}
         for (w, e), g in self._terms.items():
             exp = e[idx]
@@ -515,11 +510,9 @@ class RewriteSystem:
     def rule_for(self, pair: tuple[str, str]) -> RewriteRule | None:
         return self._by_pair.get(pair)
 
-    def reducible_position(self, word: Word, strategy: str = "leftmost") -> int | None:
-        positions = range(len(word) - 1)
-        if strategy == "rightmost":
-            positions = reversed(positions)
-        for p in positions:
+    def reducible_position(self, word: Word) -> int | None:
+        """The leftmost position starting a left-hand side, or None."""
+        for p in range(len(word) - 1):
             if (word[p], word[p + 1]) in self._by_pair:
                 return p
         return None
@@ -528,17 +521,17 @@ class RewriteSystem:
 
     @classmethod
     def free(cls, algebra: Algebra) -> "RewriteSystem":
-        """Inverse-pair annihilation only."""
+        """Inverse-pair annihilation only; ``critical_pairs`` finds none."""
         return cls(algebra, ())
 
     @classmethod
-    def quantum(cls, algebra: Algebra, include_z_f2prime: bool = False) -> "RewriteSystem":
+    def quantum(cls, algebra: Algebra) -> "RewriteSystem":
         """Deformed commutation table for the grid variable and the field.
 
-        The optional ``z f2' `` rule is excluded from every derivation
-        pipeline; enabling it makes reduction order observable on words
-        containing ``z f2' f2`` (its constant would need the opposite sign
-        of i/2 to close that overlap).
+        ``critical_pairs`` finds none, so normal forms under this table do
+        not depend on the reduction order.  A ``z f2'`` rule with the same
+        constant as ``z f2`` is left out: with it, the overlap ``z f2' f2``
+        does not join.
         """
         kappa = quantum_z_f2_constant(algebra)
         rules = [
@@ -548,16 +541,14 @@ class RewriteSystem:
                 algebra.word(("f2", "f2'")) + quantum_f2prime_f2_constant(algebra),
             ),
         ]
-        if include_z_f2prime:
-            rules.insert(
-                1,
-                RewriteRule(("z", "f2'"), algebra.word(("f2'", "z")) + kappa * algebra.gen("f2'")),
-            )
         return cls(algebra, rules)
 
     @classmethod
     def symmetric(cls, algebra: Algebra) -> "RewriteSystem":
-        """Pairwise relations of the three-field symmetric system."""
+        """Pairwise relations of the three-field symmetric system.
+
+        Not confluent: ``critical_pairs`` finds the overlap ``f0 f2 f1``.
+        """
         lam_h = algebra.central("l") * algebra.central("h")
         rules = [
             RewriteRule(("f0", "f2"), algebra.word(("f2", "f0")) - 2 * lam_h),
@@ -576,37 +567,51 @@ def quantum_f2prime_f2_constant(algebra: Algebra) -> NCPolynomial:
     return algebra.scalar(-4) * algebra.central("l") * algebra.central("h")
 
 
-def normal_form(
-    p: NCPolynomial, rules: RewriteSystem, strategy: str = "leftmost"
-) -> NCPolynomial:
+def normal_form(p: NCPolynomial, rules: RewriteSystem) -> NCPolynomial:
     """Reduce every word to an irreducible one under the given rules.
 
-    ``strategy`` picks which redex is contracted first; the shipped quantum
-    table has no overlapping redexes, so any strategy yields the same
-    canonical form there.  The symmetric table has one diverging overlap
-    (``f0 f2 f1``), so results on words containing it depend on strategy;
-    the default is deterministic either way.
+    The smallest reducible word is rewritten first, at its leftmost redex.
+    Where ``critical_pairs(rules)`` is empty the result is the unique normal
+    form, whatever the order; elsewhere it is this order's choice.
     """
     if p.algebra is not rules.algebra:
         raise AlgebraMismatchError("polynomial and rules from different algebras")
-    if strategy not in ("leftmost", "rightmost"):
-        raise NCAlgebraError(f"unknown strategy {strategy!r}")
+    word_key = p.algebra.word_key
     acc = dict(p._terms)
     while True:
-        candidates = sorted(
-            (k for k in acc if rules.reducible_position(k[0], strategy) is not None),
-            key=lambda k: (p.algebra.word_key(k[0]), k[1]),
-        )
+        candidates = [k for k in acc if rules.reducible_position(k[0]) is not None]
         if not candidates:
             return NCPolynomial(p.algebra, acc)
-        key = candidates[0] if strategy == "leftmost" else candidates[-1]
+        key = min(candidates, key=lambda k: (word_key(k[0]), k[1]))
         word, exps = key
         g = acc.pop(key)
-        pos = rules.reducible_position(word, strategy)
+        pos = rules.reducible_position(word)
         rule = rules.rule_for((word[pos], word[pos + 1]))
         for (rw, re_), rg in rule.rhs._terms.items():
             nk = (word[:pos] + rw + word[pos + 2 :], tuple(a + b for a, b in zip(exps, re_)))
             _merge(acc, nk, g * rg)
+
+
+def critical_pairs(rules: RewriteSystem) -> list[tuple[Word, NCPolynomial, NCPolynomial]]:
+    """The overlaps ``a b c`` of two left-hand sides that do not join.
+
+    Each overlap is rewritten one step at ``a b`` and one step at ``b c``,
+    and both results are brought to ``normal_form``; a pair with different
+    normal forms is returned as ``(word, left, right)``.  Every rule
+    decreases the word order, so by the diamond lemma (Bergman 1978) an
+    empty list proves the table confluent.
+    """
+    alg = rules.algebra
+    out = []
+    for (a, b), first in rules._by_pair.items():
+        for (b2, c), second in rules._by_pair.items():
+            if b2 != b:
+                continue
+            left = normal_form(first.rhs * alg.gen(c), rules)
+            right = normal_form(alg.gen(a) * second.rhs, rules)
+            if left != right:
+                out.append(((a, b, c), left, right))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -683,35 +688,21 @@ def derive(p: NCPolynomial, table: DerivationTable) -> NCPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _cancel_inverses(algebra: Algebra, word: Word) -> Word:
-    inverse = {}
-    for a, b in algebra.inverse_pairs:
-        inverse[a] = b
-        inverse[b] = a
-    letters = list(word)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(letters) - 1):
-            if inverse.get(letters[i]) == letters[i + 1]:
-                del letters[i : i + 2]
-                changed = True
-                break
-    return tuple(letters)
-
-
 def classical_limit(p: NCPolynomial) -> NCPolynomial:
     """Set the deformation constant to zero and project commutatively.
 
-    Words are sorted by generator rank and adjacent inverse pairs cancel
-    after sorting, which makes the map a ring morphism onto the
-    commutative image.  Idempotent.
+    A word becomes its letters sorted by generator rank, with each inverse
+    pair reduced to its net count, so the map is a ring morphism onto the
+    commutative image, ``CL(pq) == CL(CL(p) CL(q))``, and idempotent.
     """
     alg = p.algebra
     dropped = p.set_central("h", 0)
     acc: dict = {}
     for (w, e), g in dropped._terms.items():
-        sw = tuple(sorted(w, key=alg.rank))
-        sw = _cancel_inverses(alg, sw)
-        _merge(acc, (sw, e), g)
+        counts = Counter(w)
+        for a, b in alg.inverse_pairs:
+            both = min(counts[a], counts[b])
+            counts[a] -= both
+            counts[b] -= both
+        _merge(acc, (tuple(sorted(counts.elements(), key=alg.rank)), e), g)
     return NCPolynomial(alg, acc)

@@ -88,9 +88,6 @@ class ExactScalarCarrier:
     def is_zero(self, a) -> bool:
         return a.is_zero()
 
-    def magnitude(self, a) -> float:
-        return abs(complex(a))
-
 
 class ComplexMatrixCarrier:
     """Square complex-matrix blocks of a fixed dimension.
@@ -217,8 +214,8 @@ def _col_without(M: BlockMatrix, i: int, j: int) -> list:
 
 
 def _pivot(car, work: list, inv: list, k: int):
-    """Swap the largest invertible candidate of column ``k`` into row ``k``; return its inverse."""
-    for r in sorted(range(k, len(work)), key=lambda r: -car.magnitude(work[r][k])):
+    """Swap the first invertible candidate of column ``k`` into row ``k``; return its inverse."""
+    for r in range(k, len(work)):
         try:
             pivot_inv = car.invert(work[r][k])
         except ZeroDivisionError:
@@ -250,9 +247,10 @@ def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
     Complex blocks, single or stacked, are flattened into one scalar matrix
     per stack index and inverted by ``invert_complex_matrix``; a singular
     index raises its ``ZeroDivisionError`` with ``index``.  Exact scalars are
-    eliminated over the carrier with partial pivoting by magnitude: row
-    operations are left multiplications, and if the preferred pivot fails to
-    invert, the remaining candidates are tried in magnitude order.
+    eliminated over the carrier: row operations are left multiplications,
+    and each column takes the first candidate at or below the diagonal that
+    inverts.  Exact arithmetic has no round-off, so no pivot is preferred
+    by size.
     """
     car = M.carrier
     if isinstance(car, ComplexMatrixCarrier):
@@ -474,12 +472,13 @@ def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
     """Exact check of ``|A|_ij == (-1)^(i+j) det A / det A^ij``.
 
     Returns None (vacuous) when the minor determinant is zero, otherwise
-    the boolean outcome of the exact comparison.
+    the boolean outcome of the exact comparison.  For n = 1 the minor is
+    empty and its determinant is 1.
     """
     car = M.carrier
     if not isinstance(car, ExactScalarCarrier):
         raise QuasidetError("reduction check requires the exact scalar carrier")
-    det_minor = det_by_elimination(M.minor(i, j))
+    det_minor = det_by_elimination(M.minor(i, j)) if M.n > 1 else car.one()
     if car.is_zero(det_minor):
         return None
     expected = det_by_elimination(M) * det_minor.inverse()
@@ -494,12 +493,13 @@ def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
 # ---------------------------------------------------------------------------
 
 
-def load_matrix_json(doc, carrier: str = "auto") -> BlockMatrix:
+def load_matrix_json(doc) -> BlockMatrix:
     """Build a BlockMatrix from a JSON array-of-arrays document.
 
-    Entries are exact-rational strings/numbers for the exact carrier, or
-    square nested arrays of [re, im] pairs (or numbers) for the matrix
-    carrier, every block of the first block's size.
+    The first entry settles the carrier.  If it is an array of arrays, every
+    entry is a square block of [re, im] pairs or numbers, all of the first
+    block's size, over the matrix carrier.  Otherwise every entry is an exact
+    scalar: an integer, a Gaussian-rational string, or an [re, im] pair.
     """
     if isinstance(doc, str):
         doc = json.loads(doc)
@@ -510,19 +510,14 @@ def load_matrix_json(doc, carrier: str = "auto") -> BlockMatrix:
     ):
         raise QuasidetError("matrix document must be a non-empty array of arrays")
     first = doc[0][0]
-    kind = carrier
-    if kind == "auto":
-        kind = "matrix" if isinstance(first, list) else "exact"
-    if kind == "exact":
+    if not (isinstance(first, list) and first and isinstance(first[0], list)):
         rows = [[_parse_exact(e) for e in row] for row in doc]
         return BlockMatrix(ExactScalarCarrier(), rows)
-    if kind == "matrix":
-        blocks = [[_parse_block(e) for e in row] for row in doc]
-        dim = blocks[0][0].shape[0]
-        if any(b.shape != (dim, dim) for row in blocks for b in row):
-            raise QuasidetError(f"every matrix block must be {dim}x{dim} like the first")
-        return BlockMatrix(ComplexMatrixCarrier(dim), blocks)
-    raise QuasidetError(f"unknown carrier {carrier!r}")
+    blocks = [[_parse_block(e) for e in row] for row in doc]
+    dim = blocks[0][0].shape[0]
+    if any(b.shape != (dim, dim) for row in blocks for b in row):
+        raise QuasidetError(f"every matrix block must be {dim}x{dim} like the first")
+    return BlockMatrix(ComplexMatrixCarrier(dim), blocks)
 
 
 def _parse_exact(e) -> GaussianRational:

@@ -1,11 +1,15 @@
-"""Every program name the benchmark traces must exist.
+"""Every program name the benchmark traces or calls must exist.
 
 ``perfbench/spans.py`` replaces the listed module attributes and methods
 with timing wrappers; a name that a refactor drops would crash a traced
-benchmark run.  This test reads that list and changes nothing in it.
+benchmark run.  This test reads that list and changes nothing in it.  The
+call shapes below are the positional calls that ``perfbench/layers.py``
+and ``perfbench/run.py`` make; a signature that stops accepting one would
+fail the benchmark run.
 """
 
 import importlib
+import inspect
 import importlib.util
 from pathlib import Path
 
@@ -37,3 +41,40 @@ def test_traced_function_resolves(module, attr):
 def test_traced_method_resolves(module, cls, method):
     owner = getattr(importlib.import_module(module), cls)
     assert callable(owner.__dict__[method])
+
+
+# (module, attribute, number of positional arguments the benchmark passes)
+CALL_SHAPES = [
+    ("qpii.cli", "main", 1),
+    ("qpii.gaussian", "GaussianRational.parse", 1),
+    ("qpii.gaussian", "GaussianRational.inverse", 1),
+    ("qpii.ncalg", "default_algebra", 0),
+    ("qpii.laxderive", "build_lax", 1),
+    ("qpii.laxderive", "derive_qpii", 1),
+    ("qpii.laxderive", "riccati_derivation", 1),
+    ("qpii.laxderive", "verify_symmetric_relations", 1),
+    ("qpii.laxderive", "symmetric_relations_report", 1),
+    ("qpii.laxderive", "zero_curvature_residual", 2),
+    ("qpii.quasidet", "load_matrix_json", 1),
+    ("qpii.quasidet", "all_quasideterminants", 1),
+    ("qpii.quasidet", "quasideterminant_via_inverse", 3),
+    ("qpii.quasidet", "commutative_reduction_check", 3),
+    ("qpii.quasidet", "invert_complex_matrix", 1),
+    ("qpii.darboux", "vacuum_seed", 4),
+    ("qpii.darboux", "integrate_linear_system", 4),
+    ("qpii.darboux", "darboux_once", 2),
+    ("qpii.darboux", "DressingChain", 2),
+    ("qpii.darboux", "DressingChain.solution", 2),
+    ("qpii.darboux", "darboux_nfold", 2),
+    ("qpii.darboux", "quasidet_solution_form", 2),
+    ("qpii.darboux", "riccati_residual_numeric", 2),
+    ("qpii.darboux", "qpii_residual_numeric", 2),
+]
+
+
+@pytest.mark.parametrize("module, attr, nargs", CALL_SHAPES)
+def test_benchmark_call_shape_binds(module, attr, nargs):
+    target = importlib.import_module(module)
+    for name in attr.split("."):
+        target = getattr(target, name)
+    inspect.signature(target).bind(*range(nargs))

@@ -114,29 +114,62 @@ def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "doc, flags, message",
+    "doc, message",
     [
-        ("[[[1, 2]]]", [], "matrix blocks must be square arrays of arrays"),
-        ("[[1]]", ["--carrier", "matrix"], "matrix blocks must be square arrays of arrays"),
+        ("[[[[1, 2]]]]", "matrix blocks must be square arrays of arrays"),
+        ("[[[[1]], 1]]", "matrix blocks must be square arrays of arrays"),
         (
             "[[[[1, 0], [0, 1]], [[1]]], [[[1]], [[1]]]]",
-            [],
             "every matrix block must be 2x2 like the first",
         ),
-        ('[["1/0"]]', [], "cannot parse exact entry '1/0'"),
-        ("[[[[NaN]]]]", [], "matrix block entries must be finite"),
+        ('[["1/0"]]', "cannot parse exact entry '1/0'"),
+        ("[[[[NaN]]]]", "matrix block entries must be finite"),
     ],
     ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator", "nan"],
 )
-def test_quasidet_rejects_malformed_input(tmp_path, capsys, doc, flags, message):
+def test_quasidet_rejects_malformed_input(tmp_path, capsys, doc, message):
     matrix = tmp_path / "bad.json"
     matrix.write_text(doc)
-    code, out, _err = run_main(["quasidet", *flags, "--input", str(matrix)], capsys)
+    code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
     assert code == 1
     assert json.loads(out) == {
         "command": "quasidet",
         "error": {"message": message, "type": "QuasidetError"},
     }
+
+
+@pytest.mark.parametrize(
+    "doc, value",
+    [('[["2"]]', "2+0i"), ("[[[1, 2]]]", "1+2i")],
+    ids=["string", "pair"],
+)
+def test_quasidet_one_by_one_exact(tmp_path, capsys, doc, value):
+    # the nesting alone makes [[[1, 2]]] the exact entry 1+2i, not a block
+    matrix = tmp_path / "one.json"
+    matrix.write_text(doc)
+    code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
+    assert code == 0
+    report = json.loads(out)
+    assert report["carrier"] == "ExactScalarCarrier"
+    assert report["positions"] == {"0,0": value}
+    assert report["commutative_reduction"] == {"0,0": True}
+
+
+def test_quasidet_exact_entry_beyond_float_range(tmp_path, capsys):
+    matrix = tmp_path / "huge.json"
+    matrix.write_text(json.dumps([["1" + "0" * 400, "1"], ["1", "1"]]))
+    code, out, err = run_main(["quasidet", "--input", str(matrix)], capsys)
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    # 1 - 1/10^400
+    assert report["positions"]["1,1"] == "9" * 400 + "/1" + "0" * 400 + "+0i"
+    assert report["commutative_reduction"] == {f"{i},{j}": True for i in (0, 1) for j in (0, 1)}
+
+
+def test_quasidet_has_no_carrier_flag(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["quasidet", "--carrier", "exact", "--input", str(CONFIGS / "sample_matrix.json")])
+    assert err.value.code == 2
 
 
 def test_darboux_vacuum_config(capsys):

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qpii.gaussian import GaussianRational, gauss
 from qpii.ncalg import (
-    Algebra,
+    DEFAULT_ALPHABET,
     AlgebraMismatchError,
     CentralSubstitutionError,
     DerivationError,
@@ -14,6 +16,7 @@ from qpii.ncalg import (
     RuleOrientationError,
     UnknownGeneratorError,
     classical_limit,
+    critical_pairs,
     default_algebra,
     default_derivation_table,
     derive,
@@ -145,58 +148,51 @@ def test_misoriented_rule_rejected(alg):
         RewriteSystem(alg, [RewriteRule(("f2", "z"), alg.word(("z", "f2")))])
 
 
-def test_quantum_has_no_overlaps_order_independent(alg, quantum):
-    rng = random.Random(1702)
-    names = list(alg.generators)
-    for _ in range(500):
-        terms = alg.zero()
-        for _t in range(rng.randint(1, 6)):
-            w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
-            coeff = alg.scalar(rng.randint(-3, 3), rng.randint(-3, 3))
-            terms = terms + coeff * alg.word(w)
-        left = normal_form(terms, quantum, strategy="leftmost")
-        right = normal_form(terms, quantum, strategy="rightmost")
-        assert left == right
+def test_quantum_and_free_tables_have_no_critical_pairs(alg, quantum):
+    # by the diamond lemma both tables are confluent: normal forms do not
+    # depend on the reduction order
+    assert critical_pairs(quantum) == []
+    assert critical_pairs(RewriteSystem.free(alg)) == []
 
 
 def test_symmetric_order_independent_away_from_overlap(alg, symmetric):
-    # The only critical pair of the symmetric table is the subword f0 f2 f1;
-    # on words avoiding it the reduction order cannot matter.
-    rng = random.Random(1703)
-    names = list(alg.generators)
-
-    def has_overlap(w):
-        return any(w[i : i + 3] == ("f0", "f2", "f1") for i in range(len(w) - 2))
-
-    count = 0
-    while count < 500:
-        w = tuple(rng.choice(names) for _ in range(rng.randint(0, 4)))
-        if has_overlap(w):
-            continue
-        count += 1
-        p = alg.scalar(rng.randint(-3, 3), 1) * alg.word(w)
-        assert normal_form(p, symmetric, "leftmost") == normal_form(
-            p, symmetric, "rightmost"
-        )
+    # every overlap of the pairwise table joins except f0 f2 f1
+    assert [word for word, _left, _right in critical_pairs(symmetric)] == [
+        ("f0", "f2", "f1")
+    ]
 
 
 def test_symmetric_overlap_diverges(alg, symmetric):
     # Documented limitation: f0 f2 f1 reduces to two distinct normal forms,
     # so the pairwise table alone is not confluent on that word.
-    p = alg.word(("f0", "f2", "f1"))
-    left = normal_form(p, symmetric, "leftmost")
-    right = normal_form(p, symmetric, "rightmost")
+    lam_h = alg.central("l") * alg.central("h")
+    [(_word, left, right)] = critical_pairs(symmetric)
+    assert left == alg.word(("f2", "f0", "f1")) - 2 * lam_h * alg.gen("f1")
+    assert right == alg.word(("f0", "f1", "f2")) - 2 * lam_h * alg.gen("f0")
     assert left != right
 
 
+def _quantum_with_z_f2prime(alg):
+    kappa = quantum_z_f2_constant(alg)
+    return RewriteSystem(
+        alg,
+        [
+            RewriteRule(("z", "f2"), alg.word(("f2", "z")) + kappa * alg.gen("f2")),
+            RewriteRule(("z", "f2'"), alg.word(("f2'", "z")) + kappa * alg.gen("f2'")),
+            RewriteRule(
+                ("f2'", "f2"), alg.word(("f2", "f2'")) + quantum_f2prime_f2_constant(alg)
+            ),
+        ],
+    )
+
+
 def test_optin_z_f2prime_rule(alg):
-    rs = RewriteSystem.quantum(alg, include_z_f2prime=True)
+    rs = _quantum_with_z_f2prime(alg)
     got = normal_form(alg.word(("z", "f2'")), rs)
     want = parse_poly(alg, "(0+1/2i) h^1 * f2' + (1+0i) * f2' z")
     assert got == want
-    # and its overlap with the f2' f2 rule diverges for this constant
-    w = alg.word(("z", "f2'", "f2"))
-    assert normal_form(w, rs, "leftmost") != normal_form(w, rs, "rightmost")
+    # its overlap with the f2' f2 rule does not join for this constant
+    assert [word for word, _left, _right in critical_pairs(rs)] == [("z", "f2'", "f2")]
 
 
 # -- derivations -------------------------------------------------------------
@@ -286,6 +282,40 @@ def test_classical_limit_idempotent_and_morphism(alg):
         assert normal_form(lhs, free) == normal_form(rhs, free)
 
 
+def test_classical_limit_cancels_separated_inverses(alg):
+    # sorted by rank, chi chi^-1 phi is chi phi chi^-1: no adjacent pair
+    assert classical_limit(alg.word(("chi", "chi^-1", "phi"))) == alg.gen("phi")
+    assert classical_limit(alg.word(("phi^-1", "chi", "phi", "phi"))) == alg.word(("chi", "phi"))
+
+
+_WORDS = st.lists(st.sampled_from(DEFAULT_ALPHABET), max_size=4).map(tuple)
+# only the inverse pairs make the map more than sorting
+_CL_WORDS = st.lists(st.sampled_from(("chi", "phi", "chi^-1", "phi^-1")), max_size=4)
+_TERMS = st.lists(
+    st.tuples(_CL_WORDS, st.integers(-2, 2), st.integers(-2, 2), st.integers(0, 2)),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _poly(alg, terms):
+    p = alg.zero()
+    for word, re_, im, hpow in terms:
+        p = p + alg.scalar(re_, im) * alg.central("h", hpow) * alg.word(word)
+    return p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(p_terms=_TERMS, q_terms=_TERMS)
+def test_classical_limit_is_idempotent_ring_morphism(p_terms, q_terms):
+    alg = default_algebra()
+    p, q = _poly(alg, p_terms), _poly(alg, q_terms)
+    cl = classical_limit
+    assert cl(cl(p)) == cl(p)
+    assert cl(p + q) == cl(p) + cl(q)
+    assert cl(p * q) == cl(cl(p) * cl(q))
+
+
 # -- substitutions -----------------------------------------------------------
 
 
@@ -321,6 +351,35 @@ def test_lambda_derivative(alg):
 def test_serialize_spec_example(alg):
     p = alg.scalar(0, Fraction(1, 2)) * alg.central("h") * alg.gen("f2")
     assert p.to_text() == "(0+1/2i) h^1 * f2"
+    assert parse_poly(alg, p.to_text()) == p
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-1000, 1000), st.integers(1, 50))
+_GAUSSIANS = st.builds(GaussianRational, _FRACTIONS, _FRACTIONS)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(g=_GAUSSIANS)
+def test_gaussian_text_round_trip_and_hash(g):
+    assert GaussianRational.parse(str(g)) == g
+    assert hash(g) == hash((g.re, g.im))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    terms=st.lists(
+        st.tuples(
+            _WORDS, _GAUSSIANS, st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)
+        ),
+        max_size=4,
+    )
+)
+def test_serialize_round_trip_property(terms):
+    alg = default_algebra()
+    p = alg.zero()
+    for word, g, h, c, l in terms:
+        centrals = alg.central("h", h) * alg.central("c", c) * alg.central("l", l)
+        p = p + alg.scalar(g.re, g.im) * centrals * alg.word(word)
     assert parse_poly(alg, p.to_text()) == p
 
 
