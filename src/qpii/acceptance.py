@@ -22,7 +22,7 @@ from .quasidet import (
     BlockMatrix,
     ComplexMatrixCarrier,
     ExactScalarCarrier,
-    commutative_reduction_check,
+    commutative_reduction,
     quasideterminant_expand,
     quasideterminant_via_inverse,
 )
@@ -128,16 +128,13 @@ def criterion_5_commutative_reduction(seed: int = DEFAULT_SEED) -> dict:
             ]
             for _ in range(n)
         ]
-        M = BlockMatrix(carrier, rows)
-        for i in range(n):
-            for j in range(n):
-                out = commutative_reduction_check(M, i, j)
-                if out is None:
-                    vacuous += 1
-                    continue
-                checked += 1
-                if out is not True:
-                    failures += 1
+        for out in commutative_reduction(BlockMatrix(carrier, rows)):
+            if out is None:
+                vacuous += 1
+                continue
+            checked += 1
+            if out is not True:
+                failures += 1
     return {
         "id": 5,
         "name": "quasideterminant-commutative-reduction",

@@ -122,14 +122,13 @@ def _run_quasidet(args) -> dict:
         "position_count": len(positions),
     }
     if carrier_name == "ExactScalarCarrier":
-        from .quasidet import commutative_reduction_check
+        from .quasidet import commutative_reduction
 
-        checks = {}
-        for i in range(matrix.n):
-            for j in range(matrix.n):
-                out = commutative_reduction_check(matrix, i, j)
-                checks[f"{i},{j}"] = "vacuous-singular" if out is None else bool(out)
-        report["commutative_reduction"] = checks
+        cells = [f"{i},{j}" for i in range(matrix.n) for j in range(matrix.n)]
+        report["commutative_reduction"] = {
+            cell: "vacuous-singular" if out is None else out
+            for cell, out in zip(cells, commutative_reduction(matrix))
+        }
     return report
 
 

@@ -20,7 +20,8 @@ the inverse entry exists, and over a commutative carrier it reduces to
   falls back to the expand path, so singular minors keep its values and
   errors.
 * ``commutative_reduction_check`` compares the expand path with the
-  determinant ratio, both determinants computed exactly by elimination.
+  determinant ratio, both determinants computed exactly by elimination;
+  ``commutative_reduction`` checks every position with one ``det A``.
 
 Indices are 0-based throughout.
 """
@@ -28,7 +29,7 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
 from typing import Any, Sequence
 
 import numpy as np
@@ -468,24 +469,35 @@ def det_by_elimination(M: BlockMatrix) -> GaussianRational:
     return det
 
 
+def commutative_reduction(M: BlockMatrix) -> list[bool | None]:
+    """``commutative_reduction_check`` at every position, in row-major order.
+
+    ``det M`` is computed once for all positions.
+    """
+    det = det_by_elimination(M)
+    return [_reduction_outcome(M, i, j, det) for i in range(M.n) for j in range(M.n)]
+
+
 def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
     """Exact check of ``|A|_ij == (-1)^(i+j) det A / det A^ij``.
 
     Returns None (vacuous) when the minor determinant is zero, otherwise
     the boolean outcome of the exact comparison.  For n = 1 the minor is
-    empty and its determinant is 1.
+    empty and its determinant is 1.  A carrier other than the exact scalar
+    one raises ``QuasidetError`` from ``det_by_elimination``.
     """
-    car = M.carrier
-    if not isinstance(car, ExactScalarCarrier):
-        raise QuasidetError("reduction check requires the exact scalar carrier")
-    det_minor = det_by_elimination(M.minor(i, j)) if M.n > 1 else car.one()
-    if car.is_zero(det_minor):
+    return _reduction_outcome(M, i, j, det_by_elimination(M))
+
+
+def _reduction_outcome(M: BlockMatrix, i: int, j: int, det: GaussianRational) -> bool | None:
+    """Position (i, j) of the reduction check, given ``det M``."""
+    det_minor = det_by_elimination(M.minor(i, j)) if M.n > 1 else M.carrier.one()
+    if det_minor.is_zero():
         return None
-    expected = det_by_elimination(M) * det_minor.inverse()
+    expected = det * det_minor.inverse()
     if (i + j) % 2:
         expected = -expected
-    got = quasideterminant_expand(M, i, j)
-    return got == expected
+    return quasideterminant_expand(M, i, j) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -520,25 +532,40 @@ def load_matrix_json(doc) -> BlockMatrix:
     return BlockMatrix(ComplexMatrixCarrier(dim), blocks)
 
 
+_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+
+
 def _parse_exact(e) -> GaussianRational:
+    """An integer, a Gaussian-rational string, or an [re, im] pair.
+
+    The parts of a pair are integers or rational strings such as "-3/4".
+    JSON floats and booleans are not exact entries, bare or inside a pair.
+    """
     try:
         if isinstance(e, str):
             return GaussianRational.parse(e)
-        if isinstance(e, int):
-            return gauss(e)
-        if isinstance(e, list) and len(e) == 2:
-            return GaussianRational(Fraction(e[0]), Fraction(e[1]))
-    except (ArithmeticError, TypeError) as exc:
+        if type(e) is int:
+            return GaussianRational(e)
+        if isinstance(e, list) and len(e) == 2 and all(_is_rational_part(p) for p in e):
+            return GaussianRational(*e)
+    except (ArithmeticError, ValueError) as exc:
         raise QuasidetError(f"cannot parse exact entry {e!r}") from exc
     raise QuasidetError(f"cannot parse exact entry {e!r}")
 
 
+def _is_rational_part(p) -> bool:
+    return type(p) is int or (isinstance(p, str) and _RATIONAL_RE.fullmatch(p) is not None)
+
+
 def _parse_block(e) -> np.ndarray:
     def scalar(v):
-        if isinstance(v, (int, float)):
-            return complex(v)
-        if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
-            return complex(v[0], v[1])
+        try:
+            if isinstance(v, (int, float)):
+                return complex(v)
+            if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+                return complex(v[0], v[1])
+        except OverflowError as exc:
+            raise QuasidetError("matrix block entries must be finite") from exc
         raise QuasidetError(f"cannot parse complex scalar {v!r}")
 
     if not (

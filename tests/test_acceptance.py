@@ -14,7 +14,7 @@ defect stays visible instead of being masked:
 
 import pytest
 
-from qpii import acceptance
+from qpii import acceptance, quasidet
 
 
 @pytest.fixture(scope="session")
@@ -84,6 +84,16 @@ def test_criterion_5_commutative_reduction():
     assert result["failures"] == 0
     assert result["positions_checked"] > 0
     assert result["pass"]
+
+
+def test_criterion_5_computes_det_once_per_matrix(monkeypatch):
+    # 200 matrices: one det A each, plus one minor determinant per position
+    calls = []
+    det = quasidet.det_by_elimination
+    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: calls.append(M.n) or det(M))
+    result = acceptance.criterion_5_commutative_reduction()
+    assert (result["positions_checked"], result["positions_vacuous"], result["failures"]) == (2012, 3, 0)
+    assert len(calls) == 200 + 2012 + 3
 
 
 def test_criterion_6_inverse_characterization():

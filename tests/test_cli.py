@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpii import quasidet
 from qpii.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,14 +125,24 @@ def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
         ),
         ('[["1/0"]]', "cannot parse exact entry '1/0'"),
         ("[[[[NaN]]]]", "matrix block entries must be finite"),
+        ("[[[0.1, 0]]]", "cannot parse exact entry [0.1, 0]"),
+        ("[[true]]", "cannot parse exact entry True"),
+        ("[[[true, 1]]]", "cannot parse exact entry [True, 1]"),
+        ("[[[1, 0.5]]]", "cannot parse exact entry [1, 0.5]"),
+        ('[[["1e999", 0]]]', "cannot parse exact entry ['1e999', 0]"),
+        ('[[["x", 0]]]', "cannot parse exact entry ['x', 0]"),
+        ('[["x"]]', "cannot parse exact entry 'x'"),
+        ("[[[[1" + "0" * 400 + "]]]]", "matrix block entries must be finite"),
     ],
-    ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator", "nan"],
+    ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator", "nan",
+         "float-in-pair", "bool", "bool-in-pair", "float-im", "exponent-string-in-pair",
+         "word-in-pair", "word", "block-int-beyond-float-range"],
 )
 def test_quasidet_rejects_malformed_input(tmp_path, capsys, doc, message):
     matrix = tmp_path / "bad.json"
     matrix.write_text(doc)
-    code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
-    assert code == 1
+    code, out, err = run_main(["quasidet", "--input", str(matrix)], capsys)
+    assert (code, err) == (1, "")
     assert json.loads(out) == {
         "command": "quasidet",
         "error": {"message": message, "type": "QuasidetError"},
@@ -164,6 +175,25 @@ def test_quasidet_exact_entry_beyond_float_range(tmp_path, capsys):
     # 1 - 1/10^400
     assert report["positions"]["1,1"] == "9" * 400 + "/1" + "0" * 400 + "+0i"
     assert report["commutative_reduction"] == {f"{i},{j}": True for i in (0, 1) for j in (0, 1)}
+
+
+def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypatch):
+    # n^2 minor determinants and one det A; checking position by position
+    # computes det A again at each of the n^2 positions
+    calls = []
+    det = quasidet.det_by_elimination
+    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: calls.append(M.n) or det(M))
+    matrix = tmp_path / "n4.json"
+    matrix.write_text(json.dumps([
+        ["-1+0i", "5/4+3i", "-4+0i", "-3/2+4i"],
+        ["-2+1i", "2/3+2i", "3+0i", "-1+0i"],
+        ["4/3+2i", "-3/2+2i", "-2/3+0i", "1+5i"],
+        ["0+1i", "-3/4+2i", "-5/3+0i", "-2/3+4i"],
+    ]))
+    code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
+    assert code == 0
+    assert json.loads(out)["commutative_reduction"] == {f"{i},{j}": True for i in range(4) for j in range(4)}
+    assert sorted(calls) == [3] * 16 + [4]
 
 
 def test_quasidet_has_no_carrier_flag(capsys):
@@ -294,6 +324,94 @@ def test_malformed_darboux_configs_exit_1(tmp_path_factory, change):
         code = main(["--output", str(report), "darboux", "--config", str(config)])
     assert code == 1
     assert json.loads(report.read_text())["error"]["type"] == "ConfigError"
+
+
+_EXACT = st.sampled_from([1, -2, "3/4+1/2i", "-2i", [1, "1/2"], ["-3", 0]])
+_BLOCK_SCALAR = st.sampled_from([1, 0.5, [1, -2], [0.25, 0]])
+_BAD_EXACT = st.sampled_from([
+    0.5, 1.0, float("nan"), float("inf"), True, False, None, {}, [], "x", "1.5",
+    [0.1, 0], [1, 0.5], [True, 1], [1, None], ["1e5", 0], [1, 2, 3], [[1, 2]],
+])
+_BAD_BLOCK_SCALAR = st.sampled_from([
+    float("nan"), float("inf"), -float("inf"), None, "x", "1", {}, [], [1], [1, 2, 3],
+    [1, float("nan")], [[1, 2]], 10**400,
+])
+
+
+@st.composite
+def _square(draw, entry, min_n=1):
+    n = draw(st.integers(min_n, 3))
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@st.composite
+def _blocks(draw, min_n=1):
+    d = draw(st.integers(1, 2))
+    block = st.lists(st.lists(_BLOCK_SCALAR, min_size=d, max_size=d), min_size=d, max_size=d)
+    return draw(_square(block, min_n))
+
+
+def _pick(draw, items):
+    return items[draw(st.integers(0, len(items) - 1))]
+
+
+@st.composite
+def _malformed_matrix(draw):
+    kind = draw(st.sampled_from(
+        ["nesting", "ragged", "ragged-block", "mixed", "exact-scalar", "block-scalar"]
+    ))
+    if kind == "nesting":
+        return draw(st.sampled_from([
+            1, "x", None, {}, {"rows": [[1]]}, [], [[]], [1, 2], [[1], 1],
+            [[[[[1]]]]], [[[[1, 2]]]], [[[1, 2, 3]]], [[[[[[1]]]]]],
+        ]))
+    if kind == "ragged":
+        doc = draw(st.one_of(_square(_EXACT), _blocks()))
+        row = _pick(draw, doc)
+        if draw(st.booleans()):
+            row.append(row[0])
+        else:
+            row.pop()
+        return doc
+    if kind == "mixed":
+        # the first entry settles the carrier, so either way one entry is foreign
+        if draw(st.booleans()):
+            doc, entry = draw(_square(_EXACT, 2)), draw(_blocks())[0][0]
+        else:
+            doc, entry = draw(_blocks(2)), draw(_EXACT)
+        row = _pick(draw, doc)
+        row[draw(st.integers(0, len(row) - 1))] = entry
+        return doc
+    if kind == "exact-scalar":
+        doc = draw(_square(_EXACT))
+        row = _pick(draw, doc)
+        row[draw(st.integers(0, len(row) - 1))] = draw(_BAD_EXACT)
+        return doc
+    doc = draw(_blocks())
+    block_row = _pick(draw, _pick(draw, _pick(draw, doc)))
+    if kind == "ragged-block":
+        block_row.pop()
+    else:
+        block_row[draw(st.integers(0, len(block_row) - 1))] = draw(_BAD_BLOCK_SCALAR)
+    return doc
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(doc=_malformed_matrix())
+def test_malformed_quasidet_documents_exit_1(tmp_path_factory, doc):
+    # a traceback fails the test as an exception, and so does a numpy warning
+    matrix = tmp_path_factory.mktemp("matrix") / "matrix.json"
+    matrix.write_text(json.dumps(doc))
+    report = matrix.with_name("report.json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["--output", str(report), "quasidet", "--input", str(matrix)])
+    assert code == 1
+    error = json.loads(report.read_text())
+    assert error.keys() == {"command", "error"}
+    # load_matrix_json decodes a string document as JSON text
+    want = "JSONDecodeError" if isinstance(doc, str) else "QuasidetError"
+    assert error["error"]["type"] == want
 
 
 def test_missing_input_file_exits_1(capsys):

@@ -13,6 +13,7 @@ from qpii.quasidet import (
     NonInvertibleMatrix,
     NonInvertibleMinor,
     all_quasideterminants,
+    commutative_reduction,
     commutative_reduction_check,
     det_by_elimination,
     invert_by_block_partition,
@@ -399,13 +400,16 @@ def test_commutative_reduction_random():
     for _ in range(40):
         n = rng.choice((2, 3, 4))
         M = random_exact_matrix(rng, n)
+        outcomes = []
         for i in range(n):
             for j in range(n):
                 out = commutative_reduction_check(M, i, j)
+                outcomes.append(out)
                 if out is None:
                     continue
                 checked += 1
                 assert out is True
+        assert commutative_reduction(M) == outcomes
     assert checked > 100
 
 
@@ -441,6 +445,7 @@ def test_reduction_check_vacuous_on_singular_minor():
     M = exact_matrix([[1, 2, 3], [1, 2, 3], [0, 0, 1]])
     # minor of (2, 2) is [[1,2],[1,2]], singular
     assert commutative_reduction_check(M, 2, 2) is None
+    assert commutative_reduction(M)[8] is None
 
 
 # -- expand vs via-inverse over matrix blocks ---------------------------------
