@@ -286,9 +286,10 @@ def criterion_10_kernel_property() -> dict:
     }
 
 
-def criterion_11_determinism(seed: int = DEFAULT_SEED) -> dict:
-    first = dumps(_report_body(seed, include_determinism=False))
-    second = dumps(_report_body(seed, include_determinism=False))
+def criterion_11_determinism(body: dict) -> dict:
+    """Compare the criteria 1-10 ``body`` byte for byte with a fresh rebuild."""
+    first = dumps(body)
+    second = dumps(_report_body(body["seed"]))
     ok = first == second
     return {
         "id": 11,
@@ -299,7 +300,7 @@ def criterion_11_determinism(seed: int = DEFAULT_SEED) -> dict:
     }
 
 
-def _report_body(seed: int, include_determinism: bool = True) -> dict:
+def _report_body(seed: int) -> dict:
     criteria = [
         criterion_1_qpii_derivation(),
         criterion_2_classical_limit(),
@@ -312,8 +313,10 @@ def _report_body(seed: int, include_determinism: bool = True) -> dict:
         criterion_9_dressing_consistency(),
         criterion_10_kernel_property(),
     ]
-    if include_determinism:
-        criteria.append(criterion_11_determinism(seed))
+    return _summary(seed, criteria)
+
+
+def _summary(seed: int, criteria: list[dict]) -> dict:
     passed = sum(1 for c in criteria if c["pass"])
     return {
         "suite": "acceptance",
@@ -327,4 +330,5 @@ def _report_body(seed: int, include_determinism: bool = True) -> dict:
 
 def run_all(seed: int = DEFAULT_SEED) -> dict:
     """Run every criterion and return the combined, deterministic report."""
-    return _report_body(seed, include_determinism=True)
+    body = _report_body(seed)
+    return _summary(seed, body["criteria"] + [criterion_11_determinism(body)])

@@ -11,9 +11,9 @@ the inverse entry exists, and over a commutative carrier it reduces to
   matrix per stack index for the Gauss-Jordan kernel
   ``invert_complex_matrix``, exact scalars go through partial-pivot
   elimination over the carrier.
-* ``quasideterminant_via_inverse`` inverts the whole matrix by recursive
-  2x2 block partition and inverts the (j, i) entry of the result; the test
-  suite and the self-test cross-check it against the expand path.
+* ``quasideterminant_via_inverse`` inverts the whole matrix by
+  ``invert_by_elimination`` and inverts the (j, i) entry of the result; the
+  test suite and the self-test cross-check it against the expand path.
 * ``all_quasideterminants`` inverts the whole matrix once by elimination
   and reads every position from that inverse.  A position whose inverse
   entry does not invert, or every position when the whole inverse fails,
@@ -28,7 +28,6 @@ Indices are 0-based throughout.
 
 from __future__ import annotations
 
-import json
 import re
 from typing import Any, Sequence
 
@@ -51,7 +50,7 @@ class NonInvertibleMinor(QuasidetError):
 
 
 class NonInvertibleMatrix(QuasidetError):
-    """The block-partition recursion hit a singular sub-problem."""
+    """The matrix has no inverse."""
 
 
 class NonInvertibleEntry(QuasidetError):
@@ -210,7 +209,7 @@ def _col_without(M: BlockMatrix, i: int, j: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Elimination inverse over a carrier (used by the expand path)
+# Elimination inverse over a carrier
 # ---------------------------------------------------------------------------
 
 
@@ -272,62 +271,6 @@ def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
     return BlockMatrix(car, inv)
 
 
-# ---------------------------------------------------------------------------
-# Block-partition inverse (used by the via-inverse path)
-# ---------------------------------------------------------------------------
-
-
-def invert_by_block_partition(M: BlockMatrix) -> BlockMatrix:
-    """Whole-matrix inverse by recursive 2x2 block partition.
-
-    Requires the leading blocks and both complements to be invertible; this
-    is a constraint of the method, not of the matrix.
-    """
-    car = M.carrier
-    n = M.n
-    if n == 1:
-        try:
-            return BlockMatrix(car, [[car.invert(M[(0, 0)])]])
-        except ZeroDivisionError as exc:
-            raise NonInvertibleMatrix(str(exc)) from exc
-    k = n // 2
-    A = BlockMatrix(car, [r[:k] for r in M.rows[:k]])
-    Bb = [r[k:] for r in M.rows[:k]]
-    Cb = [r[:k] for r in M.rows[k:]]
-    D = BlockMatrix(car, [r[k:] for r in M.rows[k:]])
-
-    def mat_mul(x, y):
-        rows = len(x)
-        mid = len(y)
-        cols = len(y[0])
-        return [
-            [
-                _sum_terms(car, [car.mul(x[r][m], y[m][c]) for m in range(mid)])
-                for c in range(cols)
-            ]
-            for r in range(rows)
-        ]
-
-    def mat_sub(x, y):
-        return [[car.sub(a, b) for a, b in zip(rx, ry)] for rx, ry in zip(x, y)]
-
-    Ainv = invert_by_block_partition(A).rows
-    Dinv = invert_by_block_partition(D).rows
-    schur_a = BlockMatrix(car, mat_sub(A.rows, mat_mul(mat_mul(Bb, Dinv), Cb)))
-    schur_d = BlockMatrix(car, mat_sub(D.rows, mat_mul(mat_mul(Cb, Ainv), Bb)))
-    schur_a_inv = invert_by_block_partition(schur_a).rows
-    schur_d_inv = invert_by_block_partition(schur_d).rows
-
-    top_left = schur_a_inv
-    top_right = [[car.sub(car.zero(), e) for e in row] for row in mat_mul(mat_mul(Ainv, Bb), schur_d_inv)]
-    bottom_left = [[car.sub(car.zero(), e) for e in row] for row in mat_mul(mat_mul(schur_d_inv, Cb), Ainv)]
-    bottom_right = schur_d_inv
-
-    rows = [tl + tr for tl, tr in zip(top_left, top_right)]
-    rows += [bl + br for bl, br in zip(bottom_left, bottom_right)]
-    return BlockMatrix(car, rows)
-
-
 def _sum_terms(car, terms):
     acc = car.zero()
     for t in terms:
@@ -375,7 +318,10 @@ def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
     car = M.carrier
     if not (0 <= i < M.n and 0 <= j < M.n):
         raise QuasidetError(f"position ({i}, {j}) out of range for n = {M.n}")
-    inv = invert_by_block_partition(M)
+    try:
+        inv = invert_by_elimination(M)
+    except ZeroDivisionError as exc:
+        raise NonInvertibleMatrix(str(exc)) from exc
     entry = inv[(j, i)]
     try:
         return car.invert(entry)
@@ -506,15 +452,14 @@ def _reduction_outcome(M: BlockMatrix, i: int, j: int, det: GaussianRational) ->
 
 
 def load_matrix_json(doc) -> BlockMatrix:
-    """Build a BlockMatrix from a JSON array-of-arrays document.
+    """Build a BlockMatrix from a decoded JSON array-of-arrays document.
 
     The first entry settles the carrier.  If it is an array of arrays, every
-    entry is a square block of [re, im] pairs or numbers, all of the first
-    block's size, over the matrix carrier.  Otherwise every entry is an exact
-    scalar: an integer, a Gaussian-rational string, or an [re, im] pair.
+    entry is a square block of [re, im] pairs or numbers (not booleans), all
+    of the first block's size, over the matrix carrier.  Otherwise every
+    entry is an exact scalar: an integer, a Gaussian-rational string, or an
+    [re, im] pair.
     """
-    if isinstance(doc, str):
-        doc = json.loads(doc)
     if (
         not isinstance(doc, list)
         or not doc
@@ -560,9 +505,9 @@ def _is_rational_part(p) -> bool:
 def _parse_block(e) -> np.ndarray:
     def scalar(v):
         try:
-            if isinstance(v, (int, float)):
+            if type(v) in (int, float):
                 return complex(v)
-            if isinstance(v, list) and len(v) == 2 and all(isinstance(x, (int, float)) for x in v):
+            if isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v):
                 return complex(v[0], v[1])
         except OverflowError as exc:
             raise QuasidetError("matrix block entries must be finite") from exc

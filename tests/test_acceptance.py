@@ -135,11 +135,29 @@ def test_criterion_10_kernel_property():
 
 
 def test_criterion_11_determinism(selftest_report):
-    # run_all builds the body twice for criterion 11 and compares the bytes
+    # criterion 11 compares the bytes of run_all's body with one rebuild
     result = next(c for c in selftest_report["criteria"] if c["id"] == 11)
     _announce(result)
     assert result["byte_identical"]
     assert result["pass"]
+
+
+def test_run_all_builds_criteria_1_to_10_twice(monkeypatch):
+    calls = {}
+    for cid in range(1, 11):
+        name = next(n for n in dir(acceptance) if n.startswith(f"criterion_{cid}_"))
+
+        def stub(*_args, cid=cid):
+            calls[cid] = calls.get(cid, 0) + 1
+            return {"id": cid, "name": "stub", "pass": True}
+
+        monkeypatch.setattr(acceptance, name, stub)
+    report = acceptance.run_all()
+    assert calls == {cid: 2 for cid in range(1, 11)}
+    determinism = report["criteria"][-1]
+    assert determinism["id"] == 11
+    assert determinism["byte_identical"] is True
+    assert report["total"] == 11
 
 
 def test_suite_summary_counts(selftest_report):

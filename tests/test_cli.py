@@ -133,10 +133,15 @@ def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
         ('[[["x", 0]]]', "cannot parse exact entry ['x', 0]"),
         ('[["x"]]', "cannot parse exact entry 'x'"),
         ("[[[[1" + "0" * 400 + "]]]]", "matrix block entries must be finite"),
+        ("[[[[true, 0], [0, 1]]]]", "cannot parse complex scalar True"),
+        ("[[[[[1, false], 0], [0, 1]]]]", "cannot parse complex scalar [1, False]"),
+        ('"[[\\"2\\"]]"', "matrix document must be a non-empty array of arrays"),
+        ('"x"', "matrix document must be a non-empty array of arrays"),
     ],
     ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator", "nan",
          "float-in-pair", "bool", "bool-in-pair", "float-im", "exponent-string-in-pair",
-         "word-in-pair", "word", "block-int-beyond-float-range"],
+         "word-in-pair", "word", "block-int-beyond-float-range", "bool-in-block",
+         "bool-in-block-pair", "string-document-of-matrix-text", "string-document"],
 )
 def test_quasidet_rejects_malformed_input(tmp_path, capsys, doc, message):
     matrix = tmp_path / "bad.json"
@@ -334,7 +339,7 @@ _BAD_EXACT = st.sampled_from([
 ])
 _BAD_BLOCK_SCALAR = st.sampled_from([
     float("nan"), float("inf"), -float("inf"), None, "x", "1", {}, [], [1], [1, 2, 3],
-    [1, float("nan")], [[1, 2]], 10**400,
+    [1, float("nan")], [[1, 2]], 10**400, True, False, [True, 0], [0, False],
 ])
 
 
@@ -409,9 +414,7 @@ def test_malformed_quasidet_documents_exit_1(tmp_path_factory, doc):
     assert code == 1
     error = json.loads(report.read_text())
     assert error.keys() == {"command", "error"}
-    # load_matrix_json decodes a string document as JSON text
-    want = "JSONDecodeError" if isinstance(doc, str) else "QuasidetError"
-    assert error["error"]["type"] == want
+    assert error["error"]["type"] == "QuasidetError"
 
 
 def test_missing_input_file_exits_1(capsys):
