@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 
-from . import acceptance
-from . import darboux as dbx
 from . import laxderive as lax
 from .ncalg import NCAlgebraError, default_algebra
 from .quasidet import QuasidetError, all_quasideterminants, load_matrix_json
@@ -64,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_self.add_argument(
         "--seed",
         type=int,
-        default=acceptance.DEFAULT_SEED,
         help="seed for the randomized property criteria (echoed in the report)",
     )
     return parser
@@ -133,6 +130,8 @@ def _run_quasidet(args) -> dict:
 
 
 def _run_darboux(args) -> dict:
+    from . import darboux as dbx
+
     with open(args.config, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     config = dbx.DarbouxConfig.from_json(doc)
@@ -141,9 +140,21 @@ def _run_darboux(args) -> dict:
     return report
 
 
+def _reported_errors() -> tuple:
+    """Exception types that end in a structured error report and exit 1.
+
+    ``DarbouxError`` is named only once ``darboux`` is loaded: a command
+    that never loads it cannot raise one, and must not pay for its import.
+    """
+    errors = (NCAlgebraError, QuasidetError, OSError, json.JSONDecodeError, ValueError)
+    dbx = sys.modules.get(f"{__package__}.darboux")
+    return errors if dbx is None else errors + (dbx.DarbouxError,)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    code = 0
     try:
         if args.command == "derive":
             report = _run_derive(args.target)
@@ -152,29 +163,29 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "darboux":
             report = _run_darboux(args)
         else:
-            report = acceptance.run_all(seed=args.seed)
+            from . import acceptance
+
+            seed = acceptance.DEFAULT_SEED if args.seed is None else args.seed
+            report = acceptance.run_all(seed=seed)
             report["command"] = "selftest"
             for criterion in report["criteria"]:
                 status = "PASS" if criterion["pass"] else "FAIL"
                 sys.stderr.write(
                     f"criterion {criterion['id']:>2} ({criterion['name']}): {status}\n"
                 )
-    except (
-        NCAlgebraError,
-        QuasidetError,
-        dbx.DarbouxError,
-        OSError,
-        json.JSONDecodeError,
-        ValueError,
-    ) as exc:
-        error_report = {
+    except _reported_errors() as exc:
+        report = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "command": args.command,
         }
-        _emit(error_report, args.format, args.output)
-        return 1
-    _emit(report, args.format, args.output)
-    return 0
+        code = 1
+    try:
+        _emit(report, args.format, args.output)
+    except OSError as exc:
+        # no report can be delivered, so this is a usage error, not exit 1
+        sys.stderr.write(f"qpii: cannot write the report: {exc}\n")
+        return 2
+    return code
 
 
 def entrypoint() -> None:

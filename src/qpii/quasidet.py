@@ -29,11 +29,14 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import re
-from typing import Any, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Sequence
 
 from .gaussian import GaussianRational, gauss
+
+# numpy is imported inside the functions of the complex-block carrier, so the
+# exact path (and every command that only uses it) starts without numpy
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class QuasidetError(Exception):
@@ -101,15 +104,21 @@ class ComplexMatrixCarrier:
         self.dim = dim
 
     def _coerce(self, a) -> np.ndarray:
+        import numpy as np
+
         arr = np.asarray(a, dtype=np.complex128)
         if arr.ndim not in (2, 3) or arr.shape[-2:] != (self.dim, self.dim):
             raise QuasidetError(f"expected a {self.dim}x{self.dim} block, got {arr.shape}")
         return arr
 
     def zero(self):
+        import numpy as np
+
         return np.zeros((self.dim, self.dim), dtype=np.complex128)
 
     def one(self):
+        import numpy as np
+
         return np.eye(self.dim, dtype=np.complex128)
 
     def add(self, a, b):
@@ -139,7 +148,7 @@ def invert_complex_matrix(a: np.ndarray) -> np.ndarray:
     """
     inv, failed = _invert_stack(a if a.ndim == 3 else a[None])
     if failed.any():
-        index = int(np.argmax(failed))
+        index = int(failed.argmax())
         err = ZeroDivisionError(f"pivot below tolerance at stack index {index}")
         err.index = index
         raise err
@@ -148,6 +157,8 @@ def invert_complex_matrix(a: np.ndarray) -> np.ndarray:
 
 def _invert_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked inverse and the mask of matrices whose pivot fell below the cutoff."""
+    import numpy as np
+
     count, n, _ = a.shape
     scale = np.max(np.abs(a), axis=(1, 2))
     w = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=2).astype(np.complex128)
@@ -229,6 +240,8 @@ def _pivot(car, work: list, inv: list, k: int):
 
 def _invert_flattened(M: BlockMatrix) -> BlockMatrix:
     """Inverse of complex blocks as one ``n*d`` scalar matrix per stack index."""
+    import numpy as np
+
     car = M.carrier
     n, d = M.n, car.dim
     blocks = np.stack(np.broadcast_arrays(*(car._coerce(e) for row in M.rows for e in row)))
@@ -363,6 +376,8 @@ def _invert_entries(car, entries: list) -> list:
     round-off of an exact zero and counts as not invertible.
     """
     if isinstance(car, ComplexMatrixCarrier):
+        import numpy as np
+
         stack = np.stack(entries)
         inv, failed = _invert_stack(stack.reshape(-1, car.dim, car.dim))
         failed = failed.reshape(len(entries), -1)
@@ -503,6 +518,8 @@ def _is_rational_part(p) -> bool:
 
 
 def _parse_block(e) -> np.ndarray:
+    import numpy as np
+
     def scalar(v):
         try:
             if type(v) in (int, float):

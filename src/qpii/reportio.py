@@ -11,33 +11,27 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-import numpy as np
-
 from .gaussian import GaussianRational
 
 
 def jsonable(obj):
     """Recursively convert report values into JSON-serializable ones."""
-    # exact types only: np.float64 subclasses float and takes its own branch
+    # exact types only: np.float64 subclasses float and takes the numpy branch
     if obj is None or type(obj) in (float, int, str, bool):
         return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
+    # numpy scalars and arrays, told by their module so that numpy need not
+    # be imported; tolist gives the Python scalar or nested lists of them
+    if type(obj).__module__ == "numpy":
+        return jsonable(obj.tolist())
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (np.complexfloating,)):
-        return [float(obj.real), float(obj.imag)]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return jsonable(obj.tolist())
     if isinstance(obj, (GaussianRational, Fraction)):
         return str(obj)
-    if obj is None or isinstance(obj, (bool, int, float, str)):
+    if isinstance(obj, (int, float, str)):
         return obj
     to_dict = getattr(obj, "to_dict", None)
     if callable(to_dict):

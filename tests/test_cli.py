@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import warnings
@@ -452,3 +453,77 @@ def test_module_entrypoint_smoke():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["value"] == "(4+0i) h^1 l^1"
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-parent"])
+@pytest.mark.parametrize(
+    "argv, code_if_writable",
+    [(["derive", "symmetric"], 0), (["quasidet", "--input", "/nonexistent.json"], 1)],
+    ids=["report", "error-report"],
+)
+def test_unwritable_output_exits_2(tmp_path, capsys, where, argv, code_if_writable):
+    target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+    code, out, err = run_main(["--output", str(target), *argv], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("qpii: cannot write the report: ")
+    assert err.count("\n") == 1
+    # the same command with a writable path exits as usual
+    assert main(["--output", str(tmp_path / "ok.json"), *argv]) == code_if_writable
+
+
+_COLD_START = """
+import json, sys
+from qpii.cli import main
+
+heavy = ("numpy", "qpii.darboux")
+steps = [[None, None, [m for m in heavy if m in sys.modules]]]
+report = sys.argv[1]
+for argv in json.loads(sys.argv[2]):
+    code = main(["--output", report, *argv])
+    with open(report, encoding="utf-8") as fh:
+        error = json.load(fh).get("error", {}).get("type")
+    steps.append([code, error, [m for m in heavy if m in sys.modules]])
+print(json.dumps(steps))
+"""
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps([["1", "2+1i"], [3, "1/2"]]))
+    bad_exact = tmp_path / "bad_exact.json"
+    bad_exact.write_text(json.dumps([["1", 0.5], [1, 1]]))
+    bad_config = tmp_path / "bad_config.json"
+    bad_config.write_text(json.dumps(_config(d=1.9)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_config()))
+    plan = [
+        ["derive", "qpii"],
+        ["derive", "riccati"],
+        ["derive", "symmetric"],
+        ["quasidet", "--input", str(exact)],
+        ["quasidet", "--input", str(exact), "--position", "1", "0"],
+        ["quasidet", "--input", str(bad_exact)],
+        # the numeric commands still work in the same process after these
+        ["quasidet", "--input", str(CONFIGS / "sample_blocks.json")],
+        ["darboux", "--config", str(config)],
+        ["darboux", "--config", str(bad_config)],
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_START, str(tmp_path / "report.json"), json.dumps(plan)],
+        capture_output=True,
+        text=True,
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    exact_steps, numeric_steps = steps[:7], steps[7:]
+    assert [(code, error) for code, error, _ in exact_steps[1:]] == [
+        (0, None), (0, None), (0, None), (0, None), (0, None), (1, "QuasidetError")
+    ]
+    assert all(loaded == [] for _, _, loaded in exact_steps)
+    assert [(code, error) for code, error, _ in numeric_steps] == [
+        (0, None), (0, None), (1, "ConfigError")
+    ]
+    assert numeric_steps[-1][2] == ["numpy", "qpii.darboux"]
