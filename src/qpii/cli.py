@@ -89,12 +89,8 @@ def _run_derive(target: str) -> dict:
     if target == "riccati":
         poly, report = lax.riccati_derivation(alg)
         return {"command": "derive riccati", "expression": poly.to_text(), "report": report}
-    value = lax.verify_symmetric_relations(alg)
-    return {
-        "command": "derive symmetric",
-        "value": value.to_text(),
-        "report": lax.symmetric_relations_report(alg),
-    }
+    report = lax.symmetric_relations_report(alg)
+    return {"command": "derive symmetric", "value": report["lemma_value"], "report": report}
 
 
 def _run_quasidet(args) -> dict:

@@ -26,7 +26,10 @@ from .quasidet import (
     BlockMatrix,
     ComplexMatrixCarrier,
     NonInvertibleMinor,
+    QuasidetError,
     invert_complex_matrix,
+    parse_complex_block,
+    parse_complex_scalar,
     quasideterminant_expand,
 )
 
@@ -559,31 +562,29 @@ class DarbouxConfig:
         if not math.isfinite(self.z0 + self.h * (self.count - 1)):
             raise ConfigError("grid must end at a finite z")
         shape = (self.count, self.d, self.d)
-        if self.seed is not None and not _finite_of_shape(self.seed, shape):
+        if self.seed is not None and self.seed.shape != shape:
             raise ConfigError(f"seed values must be finite with shape {shape}")
         if self.inits is None:
             eye = np.eye(self.d, dtype=np.complex128)
             self.inits = [(eye, eye) for _ in self.lambdas]
         if len(self.inits) != len(self.lambdas):
             raise ConfigError("inits must hold one pair per spectral value")
-        if not all(_finite_of_shape(m, shape[1:]) for pair in self.inits for m in pair):
+        if any(m.shape != shape[1:] for pair in self.inits for m in pair):
             raise ConfigError(f"inits must be finite {self.d}x{self.d} matrices")
 
     @classmethod
     def from_json(cls, doc) -> "DarbouxConfig":
-        """Parse a config document; keys outside ``CONFIG_KEYS`` (and the
-        nested key sets) are rejected."""
-        if isinstance(doc, str):
-            doc = json.loads(doc)
+        """Parse a decoded config document; keys outside ``CONFIG_KEYS`` (and
+        the nested key sets) are rejected."""
         _check_keys(doc, CONFIG_KEYS, "config")
         grid = _field(doc, "grid", lambda g: _check_keys(g, GRID_KEYS, "grid"))
         cfg = cls(
             d=_field(doc, "d", _int),
-            z0=_field(grid, "z0", float, "grid.z0"),
-            h=_field(grid, "h", float, "grid.h"),
+            z0=_field(grid, "z0", _real, "grid.z0"),
+            h=_field(grid, "h", _real, "grid.h"),
             count=_field(grid, "count", _int, "grid.count"),
-            lambdas=_field(doc, "lambdas", lambda v: [_cplx(e) for e in v]),
-            c=_field(doc, "c", _cplx, default=0j),
+            lambdas=_field(doc, "lambdas", lambda v: [parse_complex_scalar(e) for e in v]),
+            c=_field(doc, "c", parse_complex_scalar, default=0j),
             seed=_field(doc, "seed", _seed_samples, default=None),
             inits=_field(doc, "inits", _init_pairs, default=None),
             convergence_probe=_field(doc, "convergence_probe", _bool, default=False),
@@ -623,7 +624,7 @@ def _field(obj: dict, key: str, parse, name: str | None = None, default=_REQUIRE
         return default
     try:
         return parse(obj[key])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, QuasidetError) as exc:
         raise ConfigError(f"invalid {name}: {exc}") from exc
 
 
@@ -639,32 +640,22 @@ def _bool(v) -> bool:
     return v
 
 
-def _cplx(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, list) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
-    raise ValueError(f"cannot parse complex value {v!r}")
+def _real(v) -> float:
+    if type(v) not in (int, float):
+        raise ValueError(f"expected a number, got {v!r}")
+    return float(v)
 
 
-def _cmat(v) -> np.ndarray:
-    return np.array([[_cplx(e) for e in row] for row in v], dtype=np.complex128)
-
-
-def _cmats(v) -> np.ndarray:
-    return np.array([_cmat(m) for m in v], dtype=np.complex128)
-
-
-def _finite_of_shape(a: np.ndarray, shape: tuple) -> bool:
-    return a.shape == shape and bool(np.isfinite(a).all())
+def _blocks(v) -> np.ndarray:
+    return np.array([parse_complex_block(m) for m in v], dtype=np.complex128)
 
 
 def _init_pairs(items) -> list[tuple[np.ndarray, np.ndarray]]:
     pairs = []
     for item in items:
         _check_keys(item, INIT_KEYS, "inits item")
-        chi = _field(item, "chi", _cmat, "inits.chi")
-        pairs.append((chi, _field(item, "phi", _cmat, "inits.phi")))
+        chi = _field(item, "chi", parse_complex_block, "inits.chi")
+        pairs.append((chi, _field(item, "phi", parse_complex_block, "inits.phi")))
     return pairs
 
 
@@ -675,7 +666,7 @@ def _seed_samples(spec) -> np.ndarray | None:
         return None
     _check_keys(spec, SEED_KEYS, "seed")
     if "values" in spec:
-        return _field(spec, "values", _cmats, "seed.values")
+        return _field(spec, "values", _blocks, "seed.values")
     if "file" not in spec:
         raise ConfigError("seed needs values or file")
     path = spec["file"]
@@ -688,7 +679,7 @@ def _seed_samples(spec) -> np.ndarray | None:
         raise ConfigError(f"cannot read seed.file: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError("seed.file must hold an object with values")
-    return _field(payload, "values", _cmats, "seed.file values")
+    return _field(payload, "values", _blocks, "seed.file values")
 
 
 def run_config(config: DarbouxConfig) -> dict:

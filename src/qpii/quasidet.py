@@ -485,7 +485,7 @@ def load_matrix_json(doc) -> BlockMatrix:
     if not (isinstance(first, list) and first and isinstance(first[0], list)):
         rows = [[_parse_exact(e) for e in row] for row in doc]
         return BlockMatrix(ExactScalarCarrier(), rows)
-    blocks = [[_parse_block(e) for e in row] for row in doc]
+    blocks = [[parse_complex_block(e) for e in row] for row in doc]
     dim = blocks[0][0].shape[0]
     if any(b.shape != (dim, dim) for row in blocks for b in row):
         raise QuasidetError(f"every matrix block must be {dim}x{dim} like the first")
@@ -517,18 +517,22 @@ def _is_rational_part(p) -> bool:
     return type(p) is int or (isinstance(p, str) and _RATIONAL_RE.fullmatch(p) is not None)
 
 
-def _parse_block(e) -> np.ndarray:
-    import numpy as np
+def parse_complex_scalar(v) -> complex:
+    """A JSON number or an ``[re, im]`` pair of numbers; booleans and
+    strings are not numbers.  Block documents and darboux configs share it."""
+    try:
+        if type(v) in (int, float):
+            return complex(v)
+        if isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v):
+            return complex(v[0], v[1])
+    except OverflowError as exc:
+        raise QuasidetError("matrix block entries must be finite") from exc
+    raise QuasidetError(f"cannot parse complex scalar {v!r}")
 
-    def scalar(v):
-        try:
-            if type(v) in (int, float):
-                return complex(v)
-            if isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v):
-                return complex(v[0], v[1])
-        except OverflowError as exc:
-            raise QuasidetError("matrix block entries must be finite") from exc
-        raise QuasidetError(f"cannot parse complex scalar {v!r}")
+
+def parse_complex_block(e) -> np.ndarray:
+    """A finite square array of arrays of ``parse_complex_scalar`` values."""
+    import numpy as np
 
     if not (
         isinstance(e, list)
@@ -536,7 +540,7 @@ def _parse_block(e) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == len(e) for row in e)
     ):
         raise QuasidetError("matrix blocks must be square arrays of arrays")
-    arr = np.array([[scalar(v) for v in row] for row in e], dtype=np.complex128)
+    arr = np.array([[parse_complex_scalar(v) for v in row] for row in e], dtype=np.complex128)
     if not np.isfinite(arr).all():
         raise QuasidetError("matrix block entries must be finite")
     return arr

@@ -266,10 +266,12 @@ def _config(**changes):
         ({"d": True}, "invalid d"),
         ({"grid": {"z0": 0, "h": 0.1, "count": 11.9}}, "grid.count"),
         ({"convergence_probe": "false"}, "convergence_probe"),
+        ({"grid": {"z0": True, "h": 0.1, "count": 11}}, "grid.z0"),
+        ({"grid": {"z0": 0, "h": "0.005", "count": 11}}, "grid.h"),
     ],
     ids=["tolerances", "grid-key", "seed-values", "lambda-overflow", "h-nan", "z0-inf",
          "init-size", "seed-file-missing", "h-underflow", "d-float", "d-bool",
-         "count-float", "probe-string"],
+         "count-float", "probe-string", "z0-bool", "h-string"],
 )
 def test_darboux_rejects_malformed_config(tmp_path, capsys, changes, field):
     config = tmp_path / "config.json"
@@ -281,13 +283,51 @@ def test_darboux_rejects_malformed_config(tmp_path, capsys, changes, field):
     assert field in error["message"]
 
 
+@pytest.mark.parametrize("text", [json.dumps(json.dumps(_config())), '"x"'],
+                         ids=["config-as-string", "string"])
+def test_darboux_config_document_must_be_an_object(tmp_path, capsys, text):
+    config = tmp_path / "config.json"
+    config.write_text(text)
+    code, out, err = run_main(["darboux", "--config", str(config)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == {
+        "message": "config must be an object",
+        "type": "ConfigError",
+    }
+
+
+_BAD_SCALARS = [True, False, "1", [True, 0], [0, "2"]]
+
+
+@pytest.mark.parametrize("where", ["quasidet", "lambdas.0", "c", "inits.0.chi.0.0"])
+@pytest.mark.parametrize("scalar", _BAD_SCALARS,
+                         ids=["true", "false", "string", "bool-in-pair", "string-in-pair"])
+def test_block_documents_and_configs_share_one_scalar_grammar(tmp_path, capsys, where, scalar):
+    document = tmp_path / "document.json"
+    if where == "quasidet":
+        document.write_text(json.dumps([[[[scalar, 0], [0, 1]]]]))
+        argv, prefix, kind = ["quasidet", "--input", str(document)], "", "QuasidetError"
+    else:
+        document.write_text(json.dumps(_changed_config(where, scalar)))
+        argv, kind = ["darboux", "--config", str(document)], "ConfigError"
+        prefix = f"invalid {where.replace('.0', '')}: "
+    code, out, err = run_main(argv, capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out)["error"] == {
+        "message": f"{prefix}cannot parse complex scalar {scalar!r}",
+        "type": kind,
+    }
+
+
 _DELETE = object()
 _MALFORMED = st.one_of(
     # a field replaced by a value of the wrong type, shape or finiteness
     st.tuples(
         st.sampled_from(("d", "grid", "lambdas", "c", "seed", "inits", "grid.z0", "grid.h",
-                         "grid.count", "lambdas.0", "inits.0.chi", "seed.values")),
-        st.sampled_from([None, "x", [], {}, [[]], float("nan"), float("inf"), -float("inf")]),
+                         "grid.count", "lambdas.0", "inits.0.chi", "seed.values",
+                         "inits.0.chi.0.0", "seed.values.0.0.0")),
+        st.sampled_from([None, "x", [], {}, [[]], float("nan"), float("inf"), -float("inf"),
+                         *_BAD_SCALARS]),
     ),
     # a required key deleted
     st.tuples(

@@ -547,9 +547,9 @@ def test_config_from_json_and_run_deterministic():
         "c": [0.0, 0.0],
         "seed": "vacuum",
     }
-    cfg = DarbouxConfig.from_json(json.dumps(doc))
+    cfg = DarbouxConfig.from_json(doc)
     r1 = run_config(cfg)
-    r2 = run_config(DarbouxConfig.from_json(json.dumps(doc)))
+    r2 = run_config(DarbouxConfig.from_json(doc))
     assert dumps(r1) == dumps(r2)
     assert all(level["within_tolerance"] for level in r1["levels"])
     assert r1["tolerances"] == {"singularity": SINGULARITY_TOL, "consistency": CONSISTENCY_TOL}
@@ -564,7 +564,7 @@ def test_config_rejects_duplicate_lambdas():
         "lambdas": [[1.0, 0.5], [1.0, 0.5]],
     }
     with pytest.raises(ConfigError):
-        DarbouxConfig.from_json(json.dumps(doc))
+        DarbouxConfig.from_json(doc)
 
 
 def test_config_seed_values_roundtrip(tmp_path):
@@ -576,7 +576,7 @@ def test_config_seed_values_roundtrip(tmp_path):
         "lambdas": [[1.0, 0.5]],
         "seed": {"values": values},
     }
-    cfg = DarbouxConfig.from_json(json.dumps(doc))
+    cfg = DarbouxConfig.from_json(doc)
     seed = cfg.seed_grid()
     assert seed.values.shape == (count, 1, 1)
     assert abs(seed.values[3, 0, 0] - 0.3) < 1e-15
