@@ -87,7 +87,7 @@ def criterion_3_symmetric_lemma() -> dict:
         "name": "symmetric-form-lemma",
         "derived": value.to_text(),
         "target": target.to_text(),
-        "detail": lax._symmetric_report(alg, value),
+        "detail": lax.symmetric_relations_report(alg),
         "pass": ok,
     }
 

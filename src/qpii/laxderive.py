@@ -440,12 +440,10 @@ def derive_qpii(alg: Algebra | None = None) -> DerivedSystem:
     report.add("grid-derivative", "V1", None, Az.to_text_dict())
     Bl = matrix_spectral_derivative(B)
     report.add("spectral-derivative", "V2", None, Bl.to_text_dict())
-    free = RewriteSystem.free(alg)
-    Cm = matrix_commutator(B, A).map(lambda p: normal_form(p, free))
+    Cm = matrix_commutator(B, A).map(lambda p: normal_form(p, RewriteSystem.free(alg)))
     report.add("commutator", "V3", None, Cm.to_text_dict())
 
-    # the free table is confluent, so normalizing Cm first leaves R unchanged
-    R = (Az - Bl - Cm).map(lambda p: normal_form(p, free))
+    R = zero_curvature_residual(A, B)
     report.add("curvature-residual", "RM1", None, R.to_text_dict())
 
     if not (R[(1, 1)] + R[(0, 0)]).is_zero():

@@ -519,14 +519,12 @@ def _is_rational_part(p) -> bool:
 
 def parse_complex_scalar(v) -> complex:
     """A JSON number or an ``[re, im]`` pair of numbers; booleans and
-    strings are not numbers.  Block documents and darboux configs share it."""
-    try:
-        if type(v) in (int, float):
-            return complex(v)
-        if isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v):
-            return complex(v[0], v[1])
-    except OverflowError as exc:
-        raise QuasidetError("matrix block entries must be finite") from exc
+    strings are not numbers.  Block documents and darboux configs share it.
+    An integer too large for a float raises ``OverflowError``."""
+    if type(v) in (int, float):
+        return complex(v)
+    if isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) for x in v):
+        return complex(v[0], v[1])
     raise QuasidetError(f"cannot parse complex scalar {v!r}")
 
 
@@ -540,7 +538,10 @@ def parse_complex_block(e) -> np.ndarray:
         and all(isinstance(row, list) and len(row) == len(e) for row in e)
     ):
         raise QuasidetError("matrix blocks must be square arrays of arrays")
-    arr = np.array([[parse_complex_scalar(v) for v in row] for row in e], dtype=np.complex128)
+    try:
+        arr = np.array([[parse_complex_scalar(v) for v in row] for row in e], dtype=np.complex128)
+    except OverflowError as exc:
+        raise QuasidetError("matrix block entries must be finite") from exc
     if not np.isfinite(arr).all():
         raise QuasidetError("matrix block entries must be finite")
     return arr

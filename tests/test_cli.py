@@ -268,10 +268,19 @@ def _config(**changes):
         ({"convergence_probe": "false"}, "convergence_probe"),
         ({"grid": {"z0": True, "h": 0.1, "count": 11}}, "grid.z0"),
         ({"grid": {"z0": 0, "h": "0.005", "count": 11}}, "grid.h"),
+        # json.dumps writes these as the NaN and Infinity literals, which json reads back
+        ({"grid": {"z0": 0, "h": float("nan"), "count": 11}}, "grid.h must be finite and positive"),
+        ({"grid": {"z0": float("inf"), "h": 0.1, "count": 11}}, "grid.z0 must be finite"),
+        # integers too large for a float
+        ({"lambdas": [10**400, [0.3, -0.2]]}, "invalid lambdas: int too large to convert to float"),
+        ({"c": [0, -10**400]}, "invalid c: int too large to convert to float"),
+        ({"inits": [{"chi": [[10**400, 0], [0, 1]], "phi": [[1, 0], [0, 1]]}] * 2},
+         "invalid inits.chi: matrix block entries must be finite"),
     ],
     ids=["tolerances", "grid-key", "seed-values", "lambda-overflow", "h-nan", "z0-inf",
          "init-size", "seed-file-missing", "h-underflow", "d-float", "d-bool",
-         "count-float", "probe-string", "z0-bool", "h-string"],
+         "count-float", "probe-string", "z0-bool", "h-string", "h-nan-number",
+         "z0-inf-number", "lambda-huge-int", "c-huge-int", "chi-huge-int"],
 )
 def test_darboux_rejects_malformed_config(tmp_path, capsys, changes, field):
     config = tmp_path / "config.json"
