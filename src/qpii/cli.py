@@ -14,8 +14,6 @@ import argparse
 import json
 import sys
 
-from . import laxderive as lax
-from .ncalg import NCAlgebraError, default_algebra
 from .quasidet import QuasidetError, all_quasideterminants, load_matrix_json
 # jsonable is not called here, but the benchmark tracer wraps qpii.cli.jsonable
 from .reportio import dumps, jsonable, render_text  # noqa: F401
@@ -77,6 +75,10 @@ def _emit(report: dict, fmt: str, output: str | None) -> None:
 
 
 def _run_derive(target: str) -> dict:
+    # the symbolic engine is loaded by the only command that uses it
+    from . import laxderive as lax
+    from .ncalg import default_algebra
+
     alg = default_algebra()
     if target == "qpii":
         system = lax.derive_qpii(alg)
@@ -139,12 +141,16 @@ def _run_darboux(args) -> dict:
 def _reported_errors() -> tuple:
     """Exception types that end in a structured error report and exit 1.
 
-    ``DarbouxError`` is named only once ``darboux`` is loaded: a command
-    that never loads it cannot raise one, and must not pay for its import.
+    ``NCAlgebraError`` and ``DarbouxError`` are named only once ``ncalg``
+    and ``darboux`` are loaded: a command that never loads a module cannot
+    raise its error, and must not pay for its import.
     """
-    errors = (NCAlgebraError, QuasidetError, OSError, json.JSONDecodeError, ValueError)
-    dbx = sys.modules.get(f"{__package__}.darboux")
-    return errors if dbx is None else errors + (dbx.DarbouxError,)
+    errors = (QuasidetError, OSError, json.JSONDecodeError, ValueError)
+    for module, name in (("ncalg", "NCAlgebraError"), ("darboux", "DarbouxError")):
+        loaded = sys.modules.get(f"{__package__}.{module}")
+        if loaded is not None:
+            errors += (getattr(loaded, name),)
+    return errors
 
 
 def main(argv: list[str] | None = None) -> int:

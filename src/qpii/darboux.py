@@ -647,7 +647,11 @@ def _real(v) -> float:
 
 
 def _blocks(v) -> np.ndarray:
-    return np.array([parse_complex_block(m) for m in v], dtype=np.complex128)
+    blocks = [parse_complex_block(m) for m in v]
+    dim = blocks[0].shape[0] if blocks else 0
+    if any(b.shape != (dim, dim) for b in blocks):
+        raise ValueError(f"every seed block must be {dim}x{dim} like the first")
+    return np.array(blocks, dtype=np.complex128)
 
 
 def _init_pairs(items) -> list[tuple[np.ndarray, np.ndarray]]:

@@ -6,11 +6,14 @@ the inverse entry exists, and over a commutative carrier it reduces to
 ``(-1)^(i+j) det A / det A^ij``.
 
 * ``quasideterminant_expand`` evaluates one position by the pivot formula
-  ``a_ij - row_i(A^ij) (A^ij)^-1 col_j(A^ij)``, with the minor inverted by
-  ``invert_by_elimination``: complex blocks are flattened into one scalar
-  matrix per stack index for the Gauss-Jordan kernel
-  ``invert_complex_matrix``, exact scalars go through partial-pivot
-  elimination over the carrier.
+  ``a_ij - row_i(A^ij) (A^ij)^-1 col_j(A^ij)``.  Exact scalars solve
+  ``A^ij x = col_j(A^ij)`` by one forward elimination and back substitution
+  and take ``row_i(A^ij) x``; complex blocks invert the minor by
+  ``invert_by_elimination``, flattened into one scalar matrix per stack
+  index for the Gauss-Jordan kernel ``invert_complex_matrix``.
+* Over exact scalars one forward elimination, ``_eliminate``, serves the
+  inverse (a solve against the identity), the solve of the expand path and
+  the determinant (its pivots and row swaps).
 * ``quasideterminant_via_inverse`` inverts the whole matrix by
   ``invert_by_elimination`` and inverts the (j, i) entry of the result; the
   test suite and the self-test cross-check it against the expand path.
@@ -68,28 +71,22 @@ class NonInvertibleEntry(QuasidetError):
 class ExactScalarCarrier:
     """Exact commutative Gaussian-rational scalars."""
 
+    # the scalar's own methods, so elimination pays no extra call per entry
+    add = staticmethod(GaussianRational.__add__)
+    sub = staticmethod(GaussianRational.__sub__)
+    mul = staticmethod(GaussianRational.__mul__)
+    is_zero = staticmethod(GaussianRational.is_zero)
+
     def zero(self):
         return gauss(0)
 
     def one(self):
         return gauss(1)
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
     def invert(self, a):
         if a.is_zero():
             raise ZeroDivisionError("inverse of exact zero")
         return a.inverse()
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
 
 class ComplexMatrixCarrier:
@@ -132,6 +129,9 @@ class ComplexMatrixCarrier:
 
     def invert(self, a):
         return invert_complex_matrix(self._coerce(a))
+
+    def is_zero(self, a) -> bool:
+        return not a.any()
 
 
 # A pivot whose magnitude is at most this fraction of the largest entry of its
@@ -224,18 +224,64 @@ def _col_without(M: BlockMatrix, i: int, j: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _pivot(car, work: list, inv: list, k: int):
-    """Swap the first invertible candidate of column ``k`` into row ``k``; return its inverse."""
-    for r in range(k, len(work)):
-        try:
-            pivot_inv = car.invert(work[r][k])
-        except ZeroDivisionError:
-            continue
-        if r != k:
-            work[k], work[r] = work[r], work[k]
-            inv[k], inv[r] = inv[r], inv[k]
-        return pivot_inv
-    raise ZeroDivisionError(f"no invertible pivot in column {k}")
+def _eliminate(car, work: list, rhs: list) -> tuple[list, int]:
+    """Forward elimination of ``work`` in place, with the same row operations on ``rhs``.
+
+    Row operations are left multiplications, and each column takes the first
+    candidate at or below the diagonal that inverts.  ``work`` is left upper
+    triangular on and above the diagonal, with the pivots on it; entries
+    below the diagonal are stale.  Returns the inverse of each pivot and the
+    number of row swaps.  A column without an invertible candidate raises
+    ``ZeroDivisionError``.
+    """
+    mul, sub = car.mul, car.sub
+    n = len(work)
+    pivot_invs = []
+    swaps = 0
+    for k in range(n):
+        for p in range(k, n):
+            try:
+                pivot_inv = car.invert(work[p][k])
+            except ZeroDivisionError:
+                continue
+            break
+        else:
+            raise ZeroDivisionError(f"no invertible pivot in column {k}")
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            rhs[k], rhs[p] = rhs[p], rhs[k]
+            swaps += 1
+        pivot_invs.append(pivot_inv)
+        pivot_row, pivot_rhs = work[k][k + 1:], rhs[k]
+        for r in range(k + 1, n):
+            if car.is_zero(work[r][k]):
+                continue
+            f = mul(work[r][k], pivot_inv)
+            work[r][k + 1:] = [sub(e, mul(f, q)) for e, q in zip(work[r][k + 1:], pivot_row)]
+            rhs[r] = [sub(e, mul(f, q)) for e, q in zip(rhs[r], pivot_rhs)]
+    return pivot_invs, swaps
+
+
+def _solve(car, rows: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> list[list]:
+    """``X`` with ``rows X = rhs``, by ``_eliminate`` and back substitution.
+
+    ``rhs`` is a list of rows, any number of columns wide; neither argument
+    is modified.
+    """
+    mul, sub = car.mul, car.sub
+    work = [list(row) for row in rows]
+    b = [list(row) for row in rhs]
+    pivot_invs, _swaps = _eliminate(car, work, b)
+    n = len(work)
+    x = [None] * n
+    for k in reversed(range(n)):
+        acc = b[k]
+        for c in range(k + 1, n):
+            u = work[k][c]
+            if not car.is_zero(u):
+                acc = [sub(e, mul(u, xc)) for e, xc in zip(acc, x[c])]
+        x[k] = [mul(pivot_invs[k], e) for e in acc]
+    return x
 
 
 def _invert_flattened(M: BlockMatrix) -> BlockMatrix:
@@ -255,33 +301,20 @@ def _invert_flattened(M: BlockMatrix) -> BlockMatrix:
 
 
 def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
-    """Gauss-Jordan inverse of a block matrix.
+    """Inverse of a block matrix by elimination.
 
     Complex blocks, single or stacked, are flattened into one scalar matrix
     per stack index and inverted by ``invert_complex_matrix``; a singular
     index raises its ``ZeroDivisionError`` with ``index``.  Exact scalars are
-    eliminated over the carrier: row operations are left multiplications,
-    and each column takes the first candidate at or below the diagonal that
-    inverts.  Exact arithmetic has no round-off, so no pivot is preferred
-    by size.
+    solved against the identity by ``_solve``.  Exact arithmetic has no
+    round-off, so no pivot is preferred by size.
     """
     car = M.carrier
     if isinstance(car, ComplexMatrixCarrier):
         return _invert_flattened(M)
     n = M.n
-    work = [row[:] for row in M.rows]
-    inv = [[car.one() if r == c else car.zero() for c in range(n)] for r in range(n)]
-    for k in range(n):
-        pivot_inv = _pivot(car, work, inv, k)
-        work[k] = [car.mul(pivot_inv, e) for e in work[k]]
-        inv[k] = [car.mul(pivot_inv, e) for e in inv[k]]
-        for r in range(n):
-            if r == k or car.is_zero(work[r][k]):
-                continue
-            f = work[r][k]
-            work[r] = [car.sub(e, car.mul(f, p)) for e, p in zip(work[r], work[k])]
-            inv[r] = [car.sub(e, car.mul(f, p)) for e, p in zip(inv[r], inv[k])]
-    return BlockMatrix(car, inv)
+    identity = [[car.one() if r == c else car.zero() for c in range(n)] for r in range(n)]
+    return BlockMatrix(car, _solve(car, M.rows, identity))
 
 
 def _sum_terms(car, terms):
@@ -301,6 +334,8 @@ def quasideterminant_expand(M: BlockMatrix, i: int, j: int):
 
     For n = 1 this is the single entry; otherwise
     ``a_ij - row * (A^ij)^-1 * col`` with the deleted row and column.
+    Exact scalars solve ``A^ij x = col`` and take ``row * x``; complex
+    blocks invert the minor by ``invert_by_elimination``.
     """
     car = M.carrier
     n = M.n
@@ -309,21 +344,22 @@ def quasideterminant_expand(M: BlockMatrix, i: int, j: int):
     if n == 1:
         return M[(0, 0)]
     minor = M.minor(i, j)
-    try:
-        minor_inv = invert_by_elimination(minor)
-    except ZeroDivisionError as exc:
-        raise NonInvertibleMinor(i, j, str(exc)) from exc
     row = _row_without(M, i, j)
     col = _col_without(M, i, j)
-    correction = _sum_terms(
-        car,
-        [
-            car.mul(car.mul(row[p], minor_inv[(p, q)]), col[q])
-            for p in range(n - 1)
-            for q in range(n - 1)
-        ],
-    )
-    return car.sub(M[(i, j)], correction)
+    try:
+        if isinstance(car, ComplexMatrixCarrier):
+            minor_inv = invert_by_elimination(minor)
+            terms = [
+                car.mul(car.mul(row[p], minor_inv[(p, q)]), col[q])
+                for p in range(n - 1)
+                for q in range(n - 1)
+            ]
+        else:
+            x = _solve(car, minor.rows, [[c] for c in col])
+            terms = [car.mul(r, xr[0]) for r, xr in zip(row, x)]
+    except ZeroDivisionError as exc:
+        raise NonInvertibleMinor(i, j, str(exc)) from exc
+    return car.sub(M[(i, j)], _sum_terms(car, terms))
 
 
 def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
@@ -400,34 +436,23 @@ def _invert_entries(car, entries: list) -> list:
 
 
 def det_by_elimination(M: BlockMatrix) -> GaussianRational:
-    """Exact determinant by Gaussian elimination over the exact scalar carrier.
+    """Exact determinant from the pivots and row swaps of ``_eliminate``.
 
-    Each column takes its first nonzero entry on or below the diagonal as
-    pivot, and each row swap flips the sign; a column without one makes the
-    determinant zero.
+    Each row swap flips the sign; a column without a nonzero candidate makes
+    the determinant zero.
     """
     car = M.carrier
     if not isinstance(car, ExactScalarCarrier):
         raise QuasidetError("exact determinant requires the exact scalar carrier")
-    n = M.n
     work = [row[:] for row in M.rows]
+    try:
+        _pivot_invs, swaps = _eliminate(car, work, [[] for _ in work])
+    except ZeroDivisionError:
+        return car.zero()
     det = car.one()
-    for k in range(n):
-        p = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
-        if p is None:
-            return car.zero()
-        if p != k:
-            work[k], work[p] = work[p], work[k]
-            det = -det
-        pivot = work[k][k]
-        det = det * pivot
-        pivot_inv = pivot.inverse()
-        for r in range(k + 1, n):
-            if work[r][k].is_zero():
-                continue
-            f = work[r][k] * pivot_inv
-            work[r][k + 1:] = [e - f * q for e, q in zip(work[r][k + 1:], work[k][k + 1:])]
-    return det
+    for k, row in enumerate(work):
+        det = det * row[k]
+    return -det if swaps % 2 else det
 
 
 def commutative_reduction(M: BlockMatrix) -> list[bool | None]:

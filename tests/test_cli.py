@@ -235,6 +235,9 @@ def test_darboux_reports_structured_error(tmp_path, capsys):
     assert doc["error"]["type"] == "ConfigError"
 
 
+_MIXED_SEED = [[[1]], [[1, 0], [0, 1]]]
+
+
 def _config(**changes):
     doc = {
         "d": 2,
@@ -276,13 +279,21 @@ def _config(**changes):
         ({"c": [0, -10**400]}, "invalid c: int too large to convert to float"),
         ({"inits": [{"chi": [[10**400, 0], [0, 1]], "phi": [[1, 0], [0, 1]]}] * 2},
          "invalid inits.chi: matrix block entries must be finite"),
+        # seed blocks of different sizes, inline and in the file the test writes
+        ({"seed": {"values": _MIXED_SEED}},
+         "invalid seed.values: every seed block must be 1x1 like the first"),
+        ({"seed": {"file": "seed.json"}},
+         "invalid seed.file values: every seed block must be 1x1 like the first"),
     ],
     ids=["tolerances", "grid-key", "seed-values", "lambda-overflow", "h-nan", "z0-inf",
          "init-size", "seed-file-missing", "h-underflow", "d-float", "d-bool",
          "count-float", "probe-string", "z0-bool", "h-string", "h-nan-number",
-         "z0-inf-number", "lambda-huge-int", "c-huge-int", "chi-huge-int"],
+         "z0-inf-number", "lambda-huge-int", "c-huge-int", "chi-huge-int",
+         "seed-values-mixed-sizes", "seed-file-mixed-sizes"],
 )
-def test_darboux_rejects_malformed_config(tmp_path, capsys, changes, field):
+def test_darboux_rejects_malformed_config(tmp_path, capsys, monkeypatch, changes, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "seed.json").write_text(json.dumps({"values": _MIXED_SEED}))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(_config(**changes)))
     code, out, err = run_main(["darboux", "--config", str(config)], capsys)
@@ -524,7 +535,7 @@ _COLD_START = """
 import json, sys
 from qpii.cli import main
 
-heavy = ("numpy", "qpii.darboux")
+heavy = ("numpy", "qpii.darboux", "qpii.ncalg", "qpii.laxderive")
 steps = [[None, None, [m for m in heavy if m in sys.modules]]]
 report = sys.argv[1]
 for argv in json.loads(sys.argv[2]):
@@ -536,27 +547,10 @@ print(json.dumps(steps))
 """
 
 
-def test_exact_commands_start_without_numpy(tmp_path):
-    exact = tmp_path / "exact.json"
-    exact.write_text(json.dumps([["1", "2+1i"], [3, "1/2"]]))
-    bad_exact = tmp_path / "bad_exact.json"
-    bad_exact.write_text(json.dumps([["1", 0.5], [1, 1]]))
-    bad_config = tmp_path / "bad_config.json"
-    bad_config.write_text(json.dumps(_config(d=1.9)))
-    config = tmp_path / "config.json"
-    config.write_text(json.dumps(_config()))
-    plan = [
-        ["derive", "qpii"],
-        ["derive", "riccati"],
-        ["derive", "symmetric"],
-        ["quasidet", "--input", str(exact)],
-        ["quasidet", "--input", str(exact), "--position", "1", "0"],
-        ["quasidet", "--input", str(bad_exact)],
-        # the numeric commands still work in the same process after these
-        ["quasidet", "--input", str(CONFIGS / "sample_blocks.json")],
-        ["darboux", "--config", str(config)],
-        ["darboux", "--config", str(bad_config)],
-    ]
+def _cold_start(tmp_path, plan):
+    """[exit code, error type, heavy modules loaded] after a bare
+    ``import qpii.cli`` and after each command of ``plan``, in one fresh
+    interpreter."""
     proc = subprocess.run(
         [sys.executable, "-c", _COLD_START, str(tmp_path / "report.json"), json.dumps(plan)],
         capture_output=True,
@@ -566,13 +560,65 @@ def test_exact_commands_start_without_numpy(tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    steps = json.loads(proc.stdout)
-    exact_steps, numeric_steps = steps[:7], steps[7:]
-    assert [(code, error) for code, error, _ in exact_steps[1:]] == [
-        (0, None), (0, None), (0, None), (0, None), (0, None), (1, "QuasidetError")
+    return json.loads(proc.stdout)
+
+
+def test_exact_commands_start_without_numpy(tmp_path):
+    exact = tmp_path / "exact.json"
+    exact.write_text(json.dumps([["1", "2+1i"], [3, "1/2"]]))
+    bad_exact = tmp_path / "bad_exact.json"
+    bad_exact.write_text(json.dumps([["1", 0.5], [1, 1]]))
+    bad_config = tmp_path / "bad_config.json"
+    bad_config.write_text(json.dumps(_config(d=1.9)))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_config()))
+    quasidet_plan = [
+        ["quasidet", "--input", str(exact)],
+        ["quasidet", "--input", str(exact), "--position", "1", "0"],
+        ["quasidet", "--input", str(bad_exact)],
     ]
-    assert all(loaded == [] for _, _, loaded in exact_steps)
-    assert [(code, error) for code, error, _ in numeric_steps] == [
+    # exact quasidet loads neither numpy nor the symbolic engine; derive
+    # loads the engine and still no numpy
+    steps = _cold_start(tmp_path, [
+        *quasidet_plan,
+        ["derive", "qpii"],
+        ["derive", "riccati"],
+        ["derive", "symmetric"],
+    ])
+    assert [(code, error) for code, error, _ in steps[1:]] == [
+        (0, None), (0, None), (1, "QuasidetError"), (0, None), (0, None), (0, None)
+    ]
+    assert all(loaded == [] for _, _, loaded in steps[:4])
+    assert all(loaded == ["qpii.ncalg", "qpii.laxderive"] for _, _, loaded in steps[4:])
+    # block quasidet loads numpy and still not the symbolic engine; the
+    # numeric commands work in the same process after the exact ones
+    steps = _cold_start(tmp_path, [
+        *quasidet_plan,
+        ["quasidet", "--input", str(CONFIGS / "sample_blocks.json")],
+        ["darboux", "--config", str(config)],
+        ["darboux", "--config", str(bad_config)],
+    ])
+    assert [(code, error) for code, error, _ in steps[4:]] == [
         (0, None), (0, None), (1, "ConfigError")
     ]
-    assert numeric_steps[-1][2] == ["numpy", "qpii.darboux"]
+    assert all(loaded == [] for _, _, loaded in steps[:4])
+    assert steps[4][2] == ["numpy"]
+    assert steps[-1][2] == ["numpy", "qpii.darboux"]
+
+
+def test_derive_reports_algebra_error(capsys, monkeypatch):
+    # derive reads no input, so the command line alone cannot raise
+    # NCAlgebraError; a failing algebra still ends in a report and exit 1
+    # although cli loads ncalg only inside the command
+    from qpii import ncalg
+
+    def broken():
+        raise ncalg.NCAlgebraError("no rewrite table")
+
+    monkeypatch.setattr(ncalg, "default_algebra", broken)
+    code, out, err = run_main(["derive", "qpii"], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "derive",
+        "error": {"message": "no rewrite table", "type": "NCAlgebraError"},
+    }

@@ -13,6 +13,7 @@ from qpii.quasidet import (
     NonInvertibleEntry,
     NonInvertibleMatrix,
     NonInvertibleMinor,
+    _solve,
     all_quasideterminants,
     commutative_reduction,
     commutative_reduction_check,
@@ -73,6 +74,38 @@ def det_cofactor(M):
         term = M[(0, j)] * det_cofactor(M.minor(0, j))
         acc = acc - term if j % 2 else acc + term
     return acc
+
+
+def invert_gauss_jordan(M):
+    """Test oracle: exact Gauss-Jordan inverse and its number of row swaps.
+
+    The elimination loop the exact inverse used before it became a solve
+    against the identity: each column takes the first nonzero candidate on
+    or below the diagonal, and a column without one raises
+    ``ZeroDivisionError`` naming it.
+    """
+    n = M.n
+    work = [row[:] for row in M.rows]
+    inv = [[gauss(1) if r == c else gauss(0) for c in range(n)] for r in range(n)]
+    swaps = 0
+    for k in range(n):
+        p = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
+        if p is None:
+            raise ZeroDivisionError(f"no invertible pivot in column {k}")
+        if p != k:
+            work[k], work[p] = work[p], work[k]
+            inv[k], inv[p] = inv[p], inv[k]
+            swaps += 1
+        pivot_inv = work[k][k].inverse()
+        work[k] = [pivot_inv * e for e in work[k]]
+        inv[k] = [pivot_inv * e for e in inv[k]]
+        for r in range(n):
+            if r == k or work[r][k].is_zero():
+                continue
+            f = work[r][k]
+            work[r] = [e - f * q for e, q in zip(work[r], work[k])]
+            inv[r] = [e - f * q for e, q in zip(inv[r], inv[k])]
+    return inv, swaps
 
 
 def expand_positions(M):
@@ -288,6 +321,89 @@ def test_noninvertible_entry():
     M = exact_matrix([[1, 1], [0, 1]])
     with pytest.raises(NonInvertibleEntry):
         quasideterminant_via_inverse(M, 0, 1)
+
+
+# -- exact pivot formula by one solve ------------------------------------------
+
+
+def zero_heavy_matrix(rng, n):
+    """Small Gaussian integers and halves, mostly zero at a drawn rate, so
+    minors need row swaps and are often singular."""
+    zero_rate = rng.choice((0.3, 0.5, 0.7))
+
+    def entry():
+        if rng.random() < zero_rate:
+            return gauss(0)
+        return gauss(Fraction(rng.randint(-2, 2), rng.choice((1, 2))), rng.choice((0, 0, 1, -1)))
+
+    return BlockMatrix(EXACT, [[entry() for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_expand_matches_gauss_jordan_pivot_formula(n):
+    rng = random.Random(4100 + n)
+    raised = swapped = 0
+    for _ in range(40 if n <= 4 else 12):
+        M = zero_heavy_matrix(rng, n)
+        for i in range(n):
+            for j in range(n):
+                if n == 1:
+                    assert quasideterminant_expand(M, i, j) is M[(0, 0)]
+                    continue
+                try:
+                    minor_inv, swaps = invert_gauss_jordan(M.minor(i, j))
+                except ZeroDivisionError as exc:
+                    raised += 1
+                    with pytest.raises(NonInvertibleMinor) as err:
+                        quasideterminant_expand(M, i, j)
+                    assert (err.value.row, err.value.col, str(err.value)) == (i, j, str(exc))
+                    continue
+                swapped += swaps > 0
+                row = [M[(i, c)] for c in range(n) if c != j]
+                col = [M[(r, j)] for r in range(n) if r != i]
+                want = M[(i, j)]
+                for p in range(n - 1):
+                    for q in range(n - 1):
+                        want = want - row[p] * minor_inv[p][q] * col[q]
+                assert str(quasideterminant_expand(M, i, j)) == str(want)
+    if n >= 2:
+        assert raised >= 10
+    if n >= 3:
+        assert swapped >= 10
+
+
+def test_exact_expand_inverts_no_minor(monkeypatch):
+    # the exact pivot formula solves against the deleted column; inverting
+    # each minor would cost about five times the multiplications at n = 6
+    import qpii.quasidet as qd
+
+    def refuse(*_args):
+        raise AssertionError("minor inverted")
+
+    monkeypatch.setattr(qd, "invert_by_elimination", refuse)
+    M = random_exact_matrix(random.Random(9), 5)
+    assert len(expand_positions(M)) == 25
+    assert commutative_reduction(M) == [True] * 25
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_solve_over_blocks_multiplies_from_the_left(n):
+    # blocks do not commute, so only left multiplications in the row
+    # operations and the back substitution solve rows X = rhs; the zero
+    # block at (0, 0) forces a row swap of rows and right-hand side alike
+    rng = np.random.default_rng(n)
+    car = ComplexMatrixCarrier(2)
+
+    def block():
+        return rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+
+    rows = [[block() + (3 * np.eye(2) if r == c else 0) for c in range(n)] for r in range(n)]
+    if n > 1:
+        rows[0][0] = np.zeros((2, 2), dtype=complex)
+    rhs = [[block() for _ in range(3)] for _ in range(n)]
+    x = _solve(car, rows, rhs)
+    residual = np.block(rows) @ np.block(x) - np.block(rhs)
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(np.block(rhs)))
 
 
 # -- inverses ----------------------------------------------------------------
