@@ -11,6 +11,7 @@ format is rendered from the same structure.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -63,6 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="seed for the randomized property criteria (echoed in the report)",
     )
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import."""
+    return build_parser()
 
 
 def _emit(report: dict, fmt: str, output: str | None) -> None:
@@ -154,8 +161,7 @@ def _reported_errors() -> tuple:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     code = 0
     try:
         if args.command == "derive":

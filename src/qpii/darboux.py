@@ -717,8 +717,8 @@ def run_config(config: DarbouxConfig) -> dict:
             {
                 "lambda": pair.lam,
                 "max": float(np.max(res)),
+                "max_index": int(np.argmax(res)),
                 "mean": float(np.mean(res)),
-                "per_point": res.tolist(),
             }
         )
 
@@ -727,7 +727,7 @@ def run_config(config: DarbouxConfig) -> dict:
     qpii_final = qpii_residual_numeric(u_final, config.c)
 
     report = {
-        "schema": "darboux-report-v1",
+        "schema": "darboux-report-v2",
         "config": config.echo or None,
         "grid": {"z0": config.z0, "h": config.h, "count": config.count, "d": config.d},
         "tolerances": {
@@ -744,7 +744,9 @@ def run_config(config: DarbouxConfig) -> dict:
             ),
             "seed_max": float(np.max(qpii_seed)),
             "final_max": float(np.max(qpii_final)),
-            "final_per_point": qpii_final.tolist(),
+            # the residual covers interior points only, so grid index = argmax + 1
+            "final_max_index": int(np.argmax(qpii_final)) + 1,
+            "final_mean": float(np.mean(qpii_final)),
         },
         "parity_note": (
             "row alternation of the level arrays beyond level 3 extrapolates "

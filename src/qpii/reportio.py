@@ -1,9 +1,9 @@
 """Deterministic report serialization.
 
-JSON is the single machine format; the text rendering is derived from the
-JSON-able structure.  Keys are sorted and floats use their shortest exact
-repr, so identical inputs produce byte-identical output.  Complex numbers
-serialize as [re, im] pairs.
+JSON is the single machine format: one line per report.  The text rendering
+is derived from the same JSON-able structure.  Keys are sorted and floats use
+their shortest exact repr, so identical inputs produce byte-identical output.
+Complex numbers serialize as [re, im] pairs.
 """
 
 from __future__ import annotations
@@ -43,21 +43,27 @@ def jsonable(obj):
 
 
 def dumps(report) -> str:
-    """Canonical JSON text: sorted keys, compact separators, trailing newline."""
-    return json.dumps(jsonable(report), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    """Canonical JSON text: one line, sorted keys, compact separators and a
+    trailing newline.  With no ``indent``, CPython writes it with its C
+    encoder."""
+    return json.dumps(jsonable(report), sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def render_text(report, indent: int = 0) -> str:
+def render_text(report) -> str:
     """Human-readable rendering derived from the JSON-able structure."""
+    return _render(jsonable(report), 0)
+
+
+def _render(data, indent: int) -> str:
+    """Render plain JSON data: dicts, lists and scalars only."""
     pad = "  " * indent
-    data = jsonable(report)
     lines: list[str] = []
     if isinstance(data, dict):
         for key in sorted(data):
             value = data[key]
             if isinstance(value, (dict, list)) and value:
                 lines.append(f"{pad}{key}:")
-                lines.append(render_text(value, indent + 1))
+                lines.append(_render(value, indent + 1))
             else:
                 lines.append(f"{pad}{key}: {_scalar_text(value)}")
         return "\n".join(lines)
@@ -69,7 +75,7 @@ def render_text(report, indent: int = 0) -> str:
         for value in data:
             if isinstance(value, (dict, list)) and value:
                 lines.append(f"{pad}-")
-                lines.append(render_text(value, indent + 1))
+                lines.append(_render(value, indent + 1))
             else:
                 lines.append(f"{pad}- {_scalar_text(value)}")
         return "\n".join(lines)

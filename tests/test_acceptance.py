@@ -17,12 +17,6 @@ import pytest
 from qpii import acceptance, quasidet
 
 
-@pytest.fixture(scope="session")
-def selftest_report() -> dict:
-    """The full acceptance report, built once for the tests that read all of it."""
-    return acceptance.run_all()
-
-
 def _announce(result: dict) -> None:
     status = "PASS" if result["pass"] else "FAIL"
     print(f"criterion {result['id']:>2} ({result['name']}): {status}")

@@ -503,6 +503,54 @@ def test_reports_byte_identical(capsys):
     assert out1 == out2
 
 
+def test_one_parser_serves_successive_calls(capsys):
+    # main keeps its parser between calls: a usage error and a text report
+    # in between leave the next call's report unchanged
+    code, first, _ = run_main(["derive", "qpii"], capsys)
+    assert code == 0
+    with pytest.raises(SystemExit) as err:
+        main(["quasidet"])
+    assert err.value.code == 2
+    assert "--input" in capsys.readouterr().err
+    argv = ["--format", "text", "darboux", "--config", str(CONFIGS / "vacuum_n2.json")]
+    code, text, _ = run_main(argv, capsys)
+    assert code == 0 and text.startswith("audit:\n")
+    code, again, _ = run_main(["derive", "qpii"], capsys)
+    assert (code, again) == (0, first)
+
+
+_COUNT_PARSERS = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+from qpii.cli import main
+counts = [len(built)]
+for _ in range(2):
+    main(["--output", sys.argv[1], "derive", "symmetric"])
+    counts.append(len(built))
+print(counts)
+"""
+
+
+def test_parser_is_built_on_first_call_only(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _COUNT_PARSERS, str(tmp_path / "report.json")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    at_import, first_call, second_call = json.loads(proc.stdout)
+    assert at_import == 0
+    assert first_call > 0
+    assert second_call == first_call
+
+
 def test_module_entrypoint_smoke():
     proc = subprocess.run(
         [sys.executable, "-m", "qpii", "derive", "symmetric"],

@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +41,7 @@ from qpii.quasidet import (
 )
 from qpii.reportio import dumps
 
+ROOT = Path(__file__).resolve().parents[1]
 LAM = 1 + 0.5j
 
 
@@ -555,6 +557,48 @@ def test_config_from_json_and_run_deterministic():
     assert r1["tolerances"] == {"singularity": SINGULARITY_TOL, "consistency": CONSISTENCY_TOL}
     assert SINGULARITY_TOL == quasidet.SINGULARITY_TOL == 1e-12
     assert r1["qpii_residual"]["final_max"] > 0.0
+
+
+def _numeric_lists(data):
+    if isinstance(data, dict):
+        for value in data.values():
+            yield from _numeric_lists(value)
+    elif isinstance(data, list):
+        if data and all(isinstance(v, (int, float)) for v in data):
+            yield data
+        for value in data:
+            yield from _numeric_lists(value)
+
+
+def test_report_v2_keeps_residual_summaries_and_their_grid_indices():
+    doc = json.loads((ROOT / "configs" / "vacuum_n3_d2.json").read_text())
+    doc["grid"] = {"z0": 0.0, "h": 5e-4, "count": 2001}
+    doc["c"] = [0.5, -0.25]
+    cfg = DarbouxConfig.from_json(doc)
+    report = run_config(cfg)
+    assert report["schema"] == "darboux-report-v2"
+    text = dumps(report)
+    assert len(text.encode()) < 8192
+    assert max(len(values) for values in _numeric_lists(json.loads(text))) <= 12
+
+    seed = cfg.seed_grid()
+    pairs = dbx.integrate_eigenpairs(seed, cfg.lambdas, cfg.inits)
+    for pair, entry in zip(pairs, report["riccati_residual"], strict=True):
+        res = riccati_residual_numeric(pair, seed)
+        assert entry["max_index"] == int(np.argmax(res))
+        assert (entry["max"], entry["mean"]) == (float(res.max()), float(res.mean()))
+
+    # the defect at grid index k from its own three-point stencil: the
+    # residual array covers interior points, so its index is k - 1
+    qpii = report["qpii_residual"]
+    k = qpii["final_max_index"]
+    u = darboux_nfold(DressingChain(seed, pairs), len(pairs))
+    f, z = u.values, u.zs[k]
+    upp = (f[k - 1] - 2 * f[k] + f[k + 1]) / (u.h * u.h)
+    defect = upp - 2 * f[k] @ f[k] @ f[k] + 4 * z * f[k] - cfg.c * np.eye(cfg.d)
+    assert np.linalg.norm(defect) == pytest.approx(qpii["final_max"], rel=1e-9)
+    res = qpii_residual_numeric(u, cfg.c)
+    assert qpii["final_mean"] == float(res.mean())
 
 
 def test_config_rejects_duplicate_lambdas():

@@ -1,10 +1,39 @@
-import numpy as np
+import json
+from pathlib import Path
 
+import numpy as np
+import pytest
+
+import qpii.cli
+from qpii.cli import main
 from qpii.reportio import dumps, jsonable
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def indented_dumps(report) -> str:
+    """The indented text reports had before they became one line, kept as
+    the reference the compact text must parse back equal to."""
+    return json.dumps(jsonable(report), sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+
+
+def _sorted_pairs(pairs):
+    keys = [key for key, _ in pairs]
+    assert keys == sorted(keys), keys
+    return dict(pairs)
+
+
+def assert_canonical(report, text):
+    """``text`` is ``dumps(report)``: one line, keys sorted in every object,
+    and the same content as the indented reference."""
+    assert text == dumps(report)
+    assert text.endswith("\n") and text.count("\n") == 1
+    parsed = json.loads(text, object_pairs_hook=_sorted_pairs)
+    assert parsed == json.loads(indented_dumps(report))
 
 
 def test_numpy_values_dump_to_pinned_text():
-    # the text the report format has always given these values
+    # the values the report format has always given these numpy types
     doc = {
         "float32": np.float32(0.1),
         "float64": np.float64(0.1),
@@ -17,12 +46,12 @@ def test_numpy_values_dump_to_pinned_text():
         "bool_": [np.bool_(True), np.bool_(False)],
     }
     assert dumps(doc) == (
-        '{\n "array0d": 1.5,\n "array2d": [\n  [\n   0.1,\n   2.0\n  ],\n  [\n   -0.0,\n'
-        '   3.5\n  ]\n ],\n "bool_": [\n  true,\n  false\n ],\n "carray": [\n  [\n   [\n'
-        '    1.0,\n    0.5\n   ]\n  ]\n ],\n "complex128": [\n  0.1,\n  -2.0\n ],\n'
-        ' "complex64": [\n  0.10000000149011612,\n  2.0\n ],\n'
-        ' "float32": 0.10000000149011612,\n "float64": 0.1,\n "int64": -7\n}\n'
+        '{"array0d":1.5,"array2d":[[0.1,2.0],[-0.0,3.5]],"bool_":[true,false],'
+        '"carray":[[[1.0,0.5]]],"complex128":[0.1,-2.0],'
+        '"complex64":[0.10000000149011612,2.0],"float32":0.10000000149011612,'
+        '"float64":0.1,"int64":-7}\n'
     )
+    assert_canonical(doc, dumps(doc))
 
 
 def test_jsonable_gives_python_scalars_for_numpy_scalars():
@@ -31,3 +60,44 @@ def test_jsonable_gives_python_scalars_for_numpy_scalars():
     assert out == [0.5, 3, True, [1.0, -1.0]]
     assert [type(v) for v in out[:3]] == [float, int, bool]
     assert [type(v) for v in out[3]] == [float, float]
+
+
+SINGULAR = "singular"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["derive", "qpii"], 0),
+        (["derive", "riccati"], 0),
+        (["derive", "symmetric"], 0),
+        (["quasidet", "--input", str(CONFIGS / "sample_matrix.json")], 0),
+        (["quasidet", "--input", str(CONFIGS / "sample_matrix.json"), "--position", "1", "0"], 0),
+        (["quasidet", "--input", str(CONFIGS / "sample_blocks.json")], 0),
+        (["quasidet", "--input", str(CONFIGS / "sample_blocks.json"), "--position", "0", "1"], 0),
+        (["quasidet", "--input", SINGULAR], 1),
+        (["darboux", "--config", str(CONFIGS / "vacuum_n2.json")], 0),
+        (["darboux", "--config", str(CONFIGS / "vacuum_n3_d2.json")], 0),
+    ],
+    ids=lambda v: " ".join(Path(a).name for a in v) if isinstance(v, list) else None,
+)
+def test_cli_reports_are_one_canonical_line(argv, code, tmp_path, capsys, monkeypatch):
+    if SINGULAR in argv:
+        matrix = tmp_path / "singular.json"
+        matrix.write_text(json.dumps([["0", "1"], ["1", "0"]]))
+        argv = [str(matrix) if a == SINGULAR else a for a in argv]
+    emitted = []
+
+    def recording_dumps(report):
+        emitted.append(report)
+        return dumps(report)
+
+    monkeypatch.setattr(qpii.cli, "dumps", recording_dumps)
+    assert main(argv) == code
+    [report] = emitted
+    assert ("error" in report) == (code == 1)
+    assert_canonical(report, capsys.readouterr().out)
+
+
+def test_selftest_report_is_one_canonical_line(selftest_report):
+    assert_canonical(selftest_report, dumps(selftest_report))
