@@ -5,7 +5,11 @@ classical four-stage Runge-Kutta scheme.  The system is linear, so each step
 is a propagator Y_{k+1} = Y_k + Q_k Y_k on the stacked pair Y = [chi; phi],
 with the Q_k built for all spectral values and a chunk of steps at once.
 It applies one-fold and N-fold transformations, builds the quasideterminant
-eigenfunction forms, and computes residual diagnostics.  The deformation
+eigenfunction forms, and computes residual diagnostics.  The one-fold map,
+the dressing map and the level arrays are written once over carrier
+operations (``mul``, ``sub``, ``invert``, ``scale`` by a scalar weight): the
+numeric path runs them over ``ComplexMatrixCarrier`` grid stacks, an exact
+carrier over exact matrices.  The deformation
 constant is fixed to zero here: with a scalar grid variable the commutation
 constraint can only hold trivially, so the deformed content is verified
 symbolically while the matrix-valued (noncommutative) content is exercised
@@ -249,22 +253,41 @@ def _inv(values: np.ndarray, what: str) -> np.ndarray:
         raise SingularEigenfunction(exc.index, what) from exc
 
 
-def _dt_step(
-    u_values: np.ndarray,
-    chi_values: np.ndarray,
-    phi_values: np.ndarray,
-    lam: complex,
-) -> np.ndarray:
-    """Pointwise -4 lam T + T u T with T = phi chi^-1, order preserved."""
-    t = phi_values @ _inv(chi_values, "chi")
-    return -4.0 * lam * t + t @ u_values @ t
+def _dt_step(car, u, chi, phi, lam):
+    """The one-fold map -4 lam T + T u T with T = phi chi^-1, order preserved.
+    The 4 is a weight of its own, so an exact ``lam`` never meets an int."""
+    t = car.mul(phi, car.invert(chi))
+    return car.sub(car.mul(car.mul(t, u), t), car.scale(lam, car.scale(4, t)))
+
+
+def _one_fold(u: np.ndarray, chi: np.ndarray, phi: np.ndarray, lam: complex) -> np.ndarray:
+    """``_dt_step`` over whole-grid stacks; a singular chi raises at its grid index."""
+    try:
+        return _dt_step(ComplexMatrixCarrier(chi.shape[-1]), u, chi, phi, lam)
+    except ZeroDivisionError as exc:
+        raise SingularEigenfunction(exc.index, "chi") from exc
 
 
 def darboux_once(u: GridFunction, pair: Eigenpair) -> GridFunction:
     """One-fold transformation of the seed by a particular eigenpair."""
     _require_same_grid(u, pair.chi, "seed and eigenfunctions")
-    values = _dt_step(u.values, pair.chi.values, pair.phi.values, pair.lam)
+    values = _one_fold(u.values, pair.chi.values, pair.phi.values, pair.lam)
     return GridFunction(u.z0, u.h, values)
+
+
+def _dressing_map(car, chi, phi, lam, head):
+    """The pair (chi, phi) at ``lam`` dressed by the raw ``head = (lam1, chi1, phi1)``:
+
+    chi[1] = lam phi - lam1 phi1 chi1^-1 chi,
+    phi[1] = lam chi - lam1 chi1 phi1^-1 phi.
+    """
+    lam1, chi1, phi1 = head
+    chi1_inv = car.invert(chi1)
+    phi1_inv = car.invert(phi1)
+    return (
+        car.sub(car.scale(lam, phi), car.scale(lam1, car.mul(car.mul(phi1, chi1_inv), chi))),
+        car.sub(car.scale(lam, chi), car.scale(lam1, car.mul(car.mul(chi1, phi1_inv), phi))),
+    )
 
 
 def dress_eigenfunctions(
@@ -273,28 +296,23 @@ def dress_eigenfunctions(
     lam: complex,
     pair1: Eigenpair,
 ) -> tuple[GridFunction, GridFunction]:
-    """Map an arbitrary solution pair through the one-fold transformation.
-
-    chi[1] = lam phi - lam1 phi1 chi1^-1 chi,
-    phi[1] = lam chi - lam1 chi1 phi1^-1 phi.
-    Applied to its own seed pair at lam = lam1 both outputs vanish.
+    """Map an arbitrary solution pair through the one-fold transformation,
+    ``_dressing_map`` over whole-grid stacks.  Applied to its own seed pair
+    at lam = lam1 both outputs vanish.
     """
     _require_same_grid(chi, pair1.chi, "solutions and the seed pair")
     _require_same_grid(chi, phi, "chi and phi")
+    head = (pair1.lam, pair1.chi.values, pair1.phi.values)
     try:
-        chi1_inv = _inv(pair1.chi.values, "chi")
-    except SingularEigenfunction as exc:
-        # report the first singular grid index of either family; chi wins a tie
-        _inv(pair1.phi.values[: exc.z_index], "phi")
-        raise
-    phi1_inv = _inv(pair1.phi.values, "phi")
-    lam1 = pair1.lam
-    new_chi = lam * phi.values - lam1 * (pair1.phi.values @ chi1_inv @ chi.values)
-    new_phi = lam * chi.values - lam1 * (pair1.chi.values @ phi1_inv @ phi.values)
-    return (
-        GridFunction(chi.z0, chi.h, new_chi),
-        GridFunction(phi.z0, phi.h, new_phi),
-    )
+        dressed = _dressing_map(ComplexMatrixCarrier(chi.d), chi.values, phi.values, lam, head)
+    except ZeroDivisionError as exc:
+        # report the first singular grid index of either family; chi wins a
+        # tie.  chi1 is inverted first, so exc.index is chi1's first failure
+        # or, if chi1 inverts, phi1's.
+        _inv(pair1.phi.values[: exc.index], "phi")
+        _inv(pair1.chi.values, "chi")
+        raise SingularEigenfunction(exc.index, "phi") from exc
+    return tuple(GridFunction(chi.z0, chi.h, values) for values in dressed)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +370,7 @@ class DressingChain:
         u_next = GridFunction(
             u_prev.z0,
             u_prev.h,
-            _dt_step(u_prev.values, chi.values, phi.values, lam),
+            _one_fold(u_prev.values, chi.values, phi.values, lam),
         )
         head = Eigenpair(lam, chi, phi)
         for m in range(k, self.depth):
@@ -390,10 +408,8 @@ def darboux_nfold(chain: DressingChain, n: int) -> GridFunction:
 # ---------------------------------------------------------------------------
 
 
-def _omega_arrays(
-    pairs: list[Eigenpair], k: int
-) -> tuple[list[list[np.ndarray]], list[list[np.ndarray]]]:
-    """The level-k arrays, each entry a whole-grid ``(count, d, d)`` stack.
+def _omega_arrays(car, pairs: list[tuple], k: int) -> tuple[list[list], list[list]]:
+    """The level-k arrays of raw ``(lam, chi, phi)`` triples.
 
     Columns are pairs (k-1, ..., 1, k); row m carries spectral weight
     gamma^m and alternates between the two eigenfunction families, starting
@@ -405,11 +421,10 @@ def _omega_arrays(
     for m in range(k):
         chi_row, phi_row = [], []
         for p in order:
-            pr = pairs[p]
-            w = pr.lam**m
-            first, second = (pr.chi, pr.phi) if m % 2 == 0 else (pr.phi, pr.chi)
-            chi_row.append(w * first.values)
-            phi_row.append(w * second.values)
+            lam, chi, phi = pairs[p]
+            first, second = (chi, phi) if m % 2 == 0 else (phi, chi)
+            chi_row.append(car.scale(lam**m, first))
+            phi_row.append(car.scale(lam**m, second))
         chi_rows.append(chi_row)
         phi_rows.append(phi_row)
     return chi_rows, phi_rows
@@ -422,10 +437,11 @@ def quasidet_dressed_pair(
     if k == 1:
         return pairs[0].chi.values.copy(), pairs[0].phi.values.copy()
     carrier = ComplexMatrixCarrier(pairs[0].chi.d)
+    raw = [(p.lam, p.chi.values, p.phi.values) for p in pairs]
     try:
         return tuple(
             quasideterminant_expand(BlockMatrix(carrier, rows), k - 1, k - 1)
-            for rows in _omega_arrays(pairs, k)
+            for rows in _omega_arrays(carrier, raw, k)
         )
     except NonInvertibleMinor as exc:
         msg = f"level {k} minor singular at grid index {exc.__cause__.index}"
@@ -438,15 +454,16 @@ def quasidet_solution_form(chain: DressingChain, n: int) -> GridFunction:
     Level factors are the quasideterminants of the spectral-weighted arrays
     of the raw eigenpairs; assembly is the same per-level sandwich as the
     recursive path, so the two routes cross-check each other.  Each level is
-    computed once per chain, in order.  Row/column alternation beyond level
-    3 extrapolates the printed pattern; the darboux report flags this.
+    computed once per chain, in order.  Over exact random data the level
+    arrays equal the recursive dressing at levels 1-5 for d <= 3 (a test runs
+    both routes); higher levels are compared only through the deviation.
     """
     if not (1 <= n <= chain.depth):
         raise DarbouxError(f"N must lie in [1, {chain.depth}]")
     levels = chain._quasidet_values
     for k in range(len(levels), n + 1):
         chi_vals, phi_vals = quasidet_dressed_pair(chain.eigenpairs, k)
-        levels.append(_dt_step(levels[-1], chi_vals, phi_vals, chain.eigenpairs[k - 1].lam))
+        levels.append(_one_fold(levels[-1], chi_vals, phi_vals, chain.eigenpairs[k - 1].lam))
     return GridFunction(chain.seed.z0, chain.seed.h, levels[n])
 
 
@@ -749,8 +766,9 @@ def run_config(config: DarbouxConfig) -> dict:
             "final_mean": float(np.mean(qpii_final)),
         },
         "parity_note": (
-            "row alternation of the level arrays beyond level 3 extrapolates "
-            "the printed pattern"
+            "the level arrays equal the recursive dressing in exact arithmetic "
+            "at levels 1-5 for d <= 3, checked on seeded random Gaussian-rational "
+            "data; higher levels are compared only through path_deviation_max"
         ),
     }
     if config.convergence_probe:

@@ -5,15 +5,16 @@ ratio: position (i, j) of a square matrix A is ``((A^-1)_ji)^-1`` whenever
 the inverse entry exists, and over a commutative carrier it reduces to
 ``(-1)^(i+j) det A / det A^ij``.
 
+* Elimination is a carrier operation: ``car.solve(rows, rhs)`` returns
+  ``X`` with ``rows X = rhs`` and ``car.invert_matrix(rows)`` the inverse.
+  Exact scalars run one forward elimination, ``_eliminate``, which serves
+  the solve, the inverse (a solve against the identity) and the
+  determinant (its pivots and row swaps).  Complex blocks, single or
+  stacked, are flattened into one scalar system per stack index for the
+  one Gauss-Jordan kernel, ``_gauss_jordan``, which reduces ``[A | B]``.
 * ``quasideterminant_expand`` evaluates one position by the pivot formula
-  ``a_ij - row_i(A^ij) (A^ij)^-1 col_j(A^ij)``.  Exact scalars solve
-  ``A^ij x = col_j(A^ij)`` by one forward elimination and back substitution
-  and take ``row_i(A^ij) x``; complex blocks invert the minor by
-  ``invert_by_elimination``, flattened into one scalar matrix per stack
-  index for the Gauss-Jordan kernel ``invert_complex_matrix``.
-* Over exact scalars one forward elimination, ``_eliminate``, serves the
-  inverse (a solve against the identity), the solve of the expand path and
-  the determinant (its pivots and row swaps).
+  ``a_ij - row_i(A^ij) x`` with ``x`` the solution of
+  ``A^ij x = col_j(A^ij)``, for every carrier.
 * ``quasideterminant_via_inverse`` inverts the whole matrix by
   ``invert_by_elimination`` and inverts the (j, i) entry of the result; the
   test suite and the self-test cross-check it against the expand path.
@@ -88,13 +89,23 @@ class ExactScalarCarrier:
             raise ZeroDivisionError("inverse of exact zero")
         return a.inverse()
 
+    def solve(self, rows, rhs):
+        return _solve(self, rows, rhs)
+
+    def invert_matrix(self, rows):
+        n = range(len(rows))
+        return _solve(self, rows, [[self.one() if r == c else self.zero() for c in n] for r in n])
+
 
 class ComplexMatrixCarrier:
     """Square complex-matrix blocks of a fixed dimension.
 
     An element is one ``(dim, dim)`` block or a ``(count, dim, dim)`` stack.
-    Inversion is partial-pivot Gauss-Jordan with the relative singularity
-    cutoff ``SINGULARITY_TOL``, shared with the numeric backend.
+    ``solve`` and ``invert_matrix`` flatten the blocks, broadcast to one
+    stack, into one scalar system per stack index.  Every inverse and solve
+    is partial-pivot Gauss-Jordan with the relative singularity cutoff
+    ``SINGULARITY_TOL``, shared with the numeric backend; a singular stack
+    index raises ``ZeroDivisionError`` with the first one as ``index``.
     """
 
     def __init__(self, dim: int):
@@ -127,8 +138,39 @@ class ComplexMatrixCarrier:
     def mul(self, a, b):
         return a @ b
 
+    def scale(self, w, a):
+        return w * a
+
     def invert(self, a):
         return invert_complex_matrix(self._coerce(a))
+
+    def _flatten(self, rows) -> tuple[np.ndarray, tuple]:
+        """The blocks of ``rows``, broadcast to one shape, as one scalar matrix
+        per stack index, and the stack shape: block (r, c) entry (i, j)
+        becomes scalar entry (r*d + i, c*d + j)."""
+        import numpy as np
+
+        n, m, d = len(rows), len(rows[0]), self.dim
+        blocks = np.stack(np.broadcast_arrays(*(self._coerce(e) for row in rows for e in row)))
+        flat = blocks.reshape(n, m, -1, d, d).transpose(2, 0, 3, 1, 4).reshape(-1, n * d, m * d)
+        return flat, blocks.shape[1:-2]
+
+    def _unflatten(self, flat: np.ndarray, lead: tuple) -> list[list]:
+        d = self.dim
+        n, m = flat.shape[1] // d, flat.shape[2] // d
+        blocks = flat.reshape(-1, n, d, m, d).transpose(1, 3, 0, 2, 4).reshape(n, m, *lead, d, d)
+        return [[blocks[r, c] for c in range(m)] for r in range(n)]
+
+    def solve(self, rows, rhs):
+        flat, lead = self._flatten([[*row, *b] for row, b in zip(rows, rhs)])
+        nd = len(rows) * self.dim
+        x, failed = _gauss_jordan(flat[:, :, :nd], flat[:, :, nd:])
+        _raise_first_failure(failed)
+        return self._unflatten(x, lead)
+
+    def invert_matrix(self, rows):
+        flat, lead = self._flatten(rows)
+        return self._unflatten(invert_complex_matrix(flat), lead)
 
     def is_zero(self, a) -> bool:
         return not a.any()
@@ -146,22 +188,29 @@ def invert_complex_matrix(a: np.ndarray) -> np.ndarray:
     stack in whole-stack steps; a failure carries the first failing stack
     index as ``index``.
     """
-    inv, failed = _invert_stack(a if a.ndim == 3 else a[None])
+    inv, failed = _gauss_jordan(a if a.ndim == 3 else a[None])
+    _raise_first_failure(failed)
+    return inv if a.ndim == 3 else inv[0]
+
+
+def _raise_first_failure(failed: np.ndarray) -> None:
     if failed.any():
         index = int(failed.argmax())
         err = ZeroDivisionError(f"pivot below tolerance at stack index {index}")
         err.index = index
         raise err
-    return inv if a.ndim == 3 else inv[0]
 
 
-def _invert_stack(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked inverse and the mask of matrices whose pivot fell below the cutoff."""
+def _gauss_jordan(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked ``X`` with ``a X = b`` by reducing ``[a | b]``, and the mask of
+    systems whose pivot fell below the cutoff.  ``b`` defaults to the
+    identity, so ``X`` is the inverse."""
     import numpy as np
 
     count, n, _ = a.shape
     scale = np.max(np.abs(a), axis=(1, 2))
-    w = np.concatenate((a, np.broadcast_to(np.eye(n), a.shape)), axis=2).astype(np.complex128)
+    rhs = np.broadcast_to(np.eye(n), a.shape) if b is None else b
+    w = np.concatenate((a, rhs), axis=2).astype(np.complex128)
     stack = np.arange(count)
     failed = np.zeros(count, dtype=bool)
     for k in range(n):
@@ -205,18 +254,6 @@ class BlockMatrix:
             if rr != i
         ]
         return BlockMatrix(self.carrier, rows)
-
-    def permuted(self, row_perm: Sequence[int], col_perm: Sequence[int]) -> "BlockMatrix":
-        rows = [[self.rows[r][c] for c in col_perm] for r in row_perm]
-        return BlockMatrix(self.carrier, rows)
-
-
-def _row_without(M: BlockMatrix, i: int, j: int) -> list:
-    return [M.rows[i][c] for c in range(M.n) if c != j]
-
-
-def _col_without(M: BlockMatrix, i: int, j: int) -> list:
-    return [M.rows[r][j] for r in range(M.n) if r != i]
 
 
 # ---------------------------------------------------------------------------
@@ -284,44 +321,14 @@ def _solve(car, rows: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> 
     return x
 
 
-def _invert_flattened(M: BlockMatrix) -> BlockMatrix:
-    """Inverse of complex blocks as one ``n*d`` scalar matrix per stack index."""
-    import numpy as np
-
-    car = M.carrier
-    n, d = M.n, car.dim
-    blocks = np.stack(np.broadcast_arrays(*(car._coerce(e) for row in M.rows for e in row)))
-    lead = blocks.shape[1:-2]
-    # (row, col, stack, i, j) -> (stack, row, i, col, j): block (r, c) entry
-    # (i, j) becomes scalar entry (r*d + i, c*d + j)
-    flat = blocks.reshape(n, n, -1, d, d).transpose(2, 0, 3, 1, 4).reshape(-1, n * d, n * d)
-    inv = invert_complex_matrix(flat).reshape(-1, n, d, n, d)
-    inv = np.ascontiguousarray(inv.transpose(1, 3, 0, 2, 4)).reshape(n, n, *lead, d, d)
-    return BlockMatrix(car, [[inv[r, c] for c in range(n)] for r in range(n)])
-
-
 def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
-    """Inverse of a block matrix by elimination.
+    """Inverse of a block matrix by the carrier's ``invert_matrix``.
 
-    Complex blocks, single or stacked, are flattened into one scalar matrix
-    per stack index and inverted by ``invert_complex_matrix``; a singular
-    index raises its ``ZeroDivisionError`` with ``index``.  Exact scalars are
-    solved against the identity by ``_solve``.  Exact arithmetic has no
-    round-off, so no pivot is preferred by size.
+    A matrix without an inverse raises ``ZeroDivisionError``; over complex
+    blocks it carries the first singular stack index as ``index``.  Exact
+    arithmetic has no round-off, so no exact pivot is preferred by size.
     """
-    car = M.carrier
-    if isinstance(car, ComplexMatrixCarrier):
-        return _invert_flattened(M)
-    n = M.n
-    identity = [[car.one() if r == c else car.zero() for c in range(n)] for r in range(n)]
-    return BlockMatrix(car, _solve(car, M.rows, identity))
-
-
-def _sum_terms(car, terms):
-    acc = car.zero()
-    for t in terms:
-        acc = car.add(acc, t)
-    return acc
+    return BlockMatrix(M.carrier, M.carrier.invert_matrix(M.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +340,9 @@ def quasideterminant_expand(M: BlockMatrix, i: int, j: int):
     """Pivot-formula quasideterminant at (i, j), 0-based.
 
     For n = 1 this is the single entry; otherwise
-    ``a_ij - row * (A^ij)^-1 * col`` with the deleted row and column.
-    Exact scalars solve ``A^ij x = col`` and take ``row * x``; complex
-    blocks invert the minor by ``invert_by_elimination``.
+    ``a_ij - sum_p row_p x_p`` with the deleted row and column, where
+    ``x = car.solve(A^ij, col)`` solves ``A^ij x = col``, so no minor is
+    inverted.  A minor without a solve raises ``NonInvertibleMinor``.
     """
     car = M.carrier
     n = M.n
@@ -343,23 +350,16 @@ def quasideterminant_expand(M: BlockMatrix, i: int, j: int):
         raise QuasidetError(f"position ({i}, {j}) out of range for n = {n}")
     if n == 1:
         return M[(0, 0)]
-    minor = M.minor(i, j)
-    row = _row_without(M, i, j)
-    col = _col_without(M, i, j)
+    row = [e for c, e in enumerate(M.rows[i]) if c != j]
+    col = [[e[j]] for r, e in enumerate(M.rows) if r != i]
     try:
-        if isinstance(car, ComplexMatrixCarrier):
-            minor_inv = invert_by_elimination(minor)
-            terms = [
-                car.mul(car.mul(row[p], minor_inv[(p, q)]), col[q])
-                for p in range(n - 1)
-                for q in range(n - 1)
-            ]
-        else:
-            x = _solve(car, minor.rows, [[c] for c in col])
-            terms = [car.mul(r, xr[0]) for r, xr in zip(row, x)]
+        x = car.solve(M.minor(i, j).rows, col)
     except ZeroDivisionError as exc:
         raise NonInvertibleMinor(i, j, str(exc)) from exc
-    return car.sub(M[(i, j)], _sum_terms(car, terms))
+    acc = car.zero()
+    for r, (xr,) in zip(row, x):
+        acc = car.add(acc, car.mul(r, xr))
+    return car.sub(M[(i, j)], acc)
 
 
 def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
@@ -415,7 +415,7 @@ def _invert_entries(car, entries: list) -> list:
         import numpy as np
 
         stack = np.stack(entries)
-        inv, failed = _invert_stack(stack.reshape(-1, car.dim, car.dim))
+        inv, failed = _gauss_jordan(stack.reshape(-1, car.dim, car.dim))
         failed = failed.reshape(len(entries), -1)
         mags = np.abs(stack).max(axis=(-2, -1)).reshape(len(entries), -1)
         failed |= mags <= SINGULARITY_TOL * mags.max(axis=0)

@@ -11,6 +11,7 @@ fail the benchmark run.
 import importlib
 import inspect
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -82,3 +83,34 @@ def test_benchmark_call_shape_binds(module, attr, nargs):
     for name in attr.split("."):
         target = getattr(target, name)
     inspect.signature(target).bind(*range(nargs))
+
+
+# the size constants of perfbench/layers.py at the smallest sizes its sweeps and
+# the workloads use
+SMALLEST_SWEEP = {
+    "EXACT_SWEEP": (3,),
+    "BLOCK_SWEEP_D": 2,
+    "BLOCK_SWEEP": (4,),
+    "KERNEL_DIMS": (1,),
+    "GRID_COUNTS": (201,),
+    "GRID_DIMS": (1,),
+    "CHAIN_SHAPE": (1, 201, 2),
+}
+
+
+def test_layer_sweep_metrics_are_finite(monkeypatch, tmp_path):
+    # every traced benchmark run ends in this sweep, which divides span
+    # times by span counts: a traced function the program stops calling
+    # would end the run in ZeroDivisionError
+    monkeypatch.syspath_prepend(str(SPANS.parent))
+    layers = importlib.import_module("layers")
+    for name, value in SMALLEST_SWEEP.items():
+        monkeypatch.setattr(layers, name, value)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        metrics = layers.sweep(tracer, 1, tmp_path)
+    finally:
+        tracer.uninstall()
+    assert metrics
+    assert all(math.isfinite(value) for value in metrics.values()), metrics

@@ -1,5 +1,8 @@
 import json
+import operator
+import random
 from fractions import Fraction
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +29,8 @@ from qpii.darboux import (
     quasidet_dressed_pair,
     quasidet_solution_form,
     riccati_residual_numeric,
+    _dressing_map,
+    _dt_step,
     _omega_arrays,
     run_config,
     vacuum_seed,
@@ -37,6 +42,8 @@ from qpii.quasidet import (
     ComplexMatrixCarrier,
     ExactScalarCarrier,
     NonInvertibleMinor,
+    _solve,
+    invert_by_elimination,
     quasideterminant_expand,
 )
 from qpii.reportio import dumps
@@ -284,7 +291,8 @@ def test_level_three_minor_pivots_per_grid_point():
     ]
     chi, phi = quasidet_dressed_pair(pairs, 3)
     carrier = ComplexMatrixCarrier(1)
-    for got, rows in zip((chi, phi), _omega_arrays(pairs, 3)):
+    raw = [(p.lam, p.chi.values, p.phi.values) for p in pairs]
+    for got, rows in zip((chi, phi), _omega_arrays(carrier, raw, 3)):
         for point in range(count):
             block = BlockMatrix(carrier, [[e[point] for e in row] for row in rows])
             assert np.array_equal(got[point], quasideterminant_expand(block, 2, 2))
@@ -380,6 +388,92 @@ def test_level_template_matches_recursion_exactly():
     got_phi = quasideterminant_expand(BlockMatrix(carrier, rows_phi), 2, 2)
     assert got_chi == gauss(Fraction(926856, 181))
     assert got_phi == gauss(Fraction(3816, 163))
+
+
+class ExactMatrixCarrier:
+    """``d x d`` matrices of Gaussian rationals, as tuples of row tuples.
+
+    Only tests use it: the dressing formulas run over it unchanged, so the
+    two dressing routes can be compared without round-off.
+    """
+
+    def __init__(self, d):
+        self.d = d
+
+    def zero(self):
+        return tuple((gauss(0),) * self.d for _ in range(self.d))
+
+    def one(self):
+        return tuple(tuple(gauss(int(r == c)) for c in range(self.d)) for r in range(self.d))
+
+    def add(self, a, b):
+        return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
+
+    def mul(self, a, b):
+        cols = list(zip(*b))
+        return tuple(
+            tuple(reduce(operator.add, map(operator.mul, row, col)) for col in cols) for row in a
+        )
+
+    def scale(self, w, a):
+        w = gauss(w)
+        return tuple(tuple(w * x for x in row) for row in a)
+
+    def is_zero(self, a):
+        return all(x.is_zero() for row in a for x in row)
+
+    def invert(self, a):
+        return tuple(map(tuple, invert_by_elimination(BlockMatrix(ExactScalarCarrier(), a)).rows))
+
+    def solve(self, rows, rhs):
+        return _solve(self, rows, rhs)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nth_quasideterminant_form_is_exact(d, seed):
+    # the recursive dressing and the quasideterminant of the level arrays,
+    # both through the shipped formulas, agree exactly on random rational
+    # data at levels 1-5, and so do the solutions u[k] of the two routes
+    rng = random.Random(f"nfold:{d}:{seed}")
+    car = ExactMatrixCarrier(d)
+
+    def part():
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+
+    def entry():
+        return gauss(part(), part())
+
+    def matrix():
+        return tuple(tuple(entry() for _ in range(d)) for _ in range(d))
+
+    lams = []
+    while len(lams) < 5:
+        lam = entry()
+        if not lam.is_zero() and lam not in lams:
+            lams.append(lam)
+    pairs = [(lam, matrix(), matrix()) for lam in lams]
+    dressed = list(pairs)
+    u_rec = u_qd = matrix()
+    for k in range(1, 6):
+        # the recursive route, as DressingChain.compute_level runs it
+        lam, chi, phi = dressed[k - 1]
+        u_rec = _dt_step(car, u_rec, chi, phi, lam)
+        dressed[k:] = [
+            (lam_m, *_dressing_map(car, chi_m, phi_m, lam_m, dressed[k - 1]))
+            for lam_m, chi_m, phi_m in dressed[k:]
+        ]
+        # the quasideterminant route, as quasidet_solution_form runs it
+        form = tuple(
+            quasideterminant_expand(BlockMatrix(car, rows), k - 1, k - 1)
+            for rows in _omega_arrays(car, pairs, k)
+        )
+        assert form == (chi, phi), f"level {k}"
+        u_qd = _dt_step(car, u_qd, *form, lam)
+        assert u_qd == u_rec
 
 
 # -- chains ------------------------------------------------------------------------

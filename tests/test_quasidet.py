@@ -64,6 +64,15 @@ def random_block_matrix(rng, n, dim):
     return BlockMatrix(carrier, rows)
 
 
+def stacked_matrix(points):
+    """One block matrix whose elements stack the same position of each point."""
+    n = points[0].n
+    return BlockMatrix(
+        points[0].carrier,
+        [[np.stack([p[(r, c)] for p in points]) for c in range(n)] for r in range(n)],
+    )
+
+
 def det_cofactor(M):
     """Test oracle: exact determinant by first-row cofactor expansion, O(n!)."""
     assert M.n <= 4
@@ -106,6 +115,20 @@ def invert_gauss_jordan(M):
             work[r] = [e - f * q for e, q in zip(work[r], work[k])]
             inv[r] = [e - f * q for e, q in zip(inv[r], inv[k])]
     return inv, swaps
+
+
+def expand_by_minor_inverse(M, i, j):
+    """Test oracle: the complex pivot formula as it was before the solve,
+    ``a_ij - sum_pq row_p (A^ij)^-1_pq col_q`` with the whole minor inverted."""
+    car = M.carrier
+    minor_inv = invert_by_elimination(M.minor(i, j))
+    row = [M[(i, c)] for c in range(M.n) if c != j]
+    col = [M[(r, j)] for r in range(M.n) if r != i]
+    acc = car.zero()
+    for p in range(M.n - 1):
+        for q in range(M.n - 1):
+            acc = car.add(acc, car.mul(car.mul(row[p], minor_inv[(p, q)]), col[q]))
+    return car.sub(M[(i, j)], acc)
 
 
 def expand_positions(M):
@@ -274,10 +297,7 @@ def test_all_quasideterminants_over_stacked_blocks():
     # which raises for the whole stack
     rng = random.Random(8)
     points = [random_block_matrix(rng, 3, 2) for _ in range(4)]
-    stacked = BlockMatrix(
-        points[0].carrier,
-        [[np.stack([p[(r, c)] for p in points]) for c in range(3)] for r in range(3)],
-    )
+    stacked = stacked_matrix(points)
     got = all_quasideterminants(stacked)
     for k, point in enumerate(points):
         at_point = all_quasideterminants(point)
@@ -404,6 +424,62 @@ def test_solve_over_blocks_multiplies_from_the_left(n):
     x = _solve(car, rows, rhs)
     residual = np.block(rows) @ np.block(x) - np.block(rhs)
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(np.block(rhs)))
+
+
+# -- complex solve -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["single", "stacked"])
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_expand_matches_minor_inverse_oracle(n, d, stacked):
+    rng = random.Random(f"oracle:{n}:{d}")
+    M = random_block_matrix(rng, n, d)
+    if stacked:
+        M = stacked_matrix([M] + [random_block_matrix(rng, n, d) for _ in range(3)])
+    for i in range(n):
+        for j in range(n):
+            got = quasideterminant_expand(M, i, j)
+            want = expand_by_minor_inverse(M, i, j)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("stack", [None, 4], ids=["single", "stacked"])
+@pytest.mark.parametrize("m", [1, 3])
+def test_complex_solve_matches_numpy(m, stack):
+    # random blocks, so the kernel swaps rows; the solution is compared with
+    # numpy's on the assembled scalar system at every stack index
+    rng = np.random.default_rng(m)
+    n, d = 4, 3
+    shape = (d, d) if stack is None else (stack, d, d)
+
+    def block():
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    rows = [[block() for _ in range(n)] for _ in range(n)]
+    rhs = [[block() for _ in range(m)] for _ in range(n)]
+    x = ComplexMatrixCarrier(d).solve(rows, rhs)
+    assert (len(x), len(x[0])) == (n, m)
+
+    def assembled(blocks, s):
+        return np.block([[b if s is None else b[s] for b in row] for row in blocks])
+
+    for s in [None] if stack is None else range(stack):
+        want = np.linalg.solve(assembled(rows, s), assembled(rhs, s))
+        assert np.max(np.abs(assembled(x, s) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_complex_solve_reports_first_singular_index():
+    rng = np.random.default_rng(12)
+    rows = _stacked_blocks(rng, 12, 3, 2)
+    rhs = [[b] for b in _stacked_blocks(rng, 12, 3, 2)[0]]
+    for s in (5, 9):  # row 2 repeats row 0
+        for c in range(3):
+            rows[2][c][s] = rows[0][c][s]
+    with pytest.raises(ZeroDivisionError) as err:
+        ComplexMatrixCarrier(2).solve(rows, rhs)
+    assert err.value.index == 5
 
 
 # -- inverses ----------------------------------------------------------------
@@ -594,7 +670,7 @@ def test_permutation_equivariance():
         col_perm = list(range(n))
         rng.shuffle(row_perm)
         rng.shuffle(col_perm)
-        P = M.permuted(row_perm, col_perm)
+        P = BlockMatrix(M.carrier, [[M.rows[r][c] for c in col_perm] for r in row_perm])
         i, j = rng.randrange(n), rng.randrange(n)
         try:
             original = quasideterminant_expand(M, i, j)
