@@ -15,14 +15,12 @@ the inverse entry exists, and over a commutative carrier it reduces to
 * ``quasideterminant_expand`` evaluates one position by the pivot formula
   ``a_ij - row_i(A^ij) x`` with ``x`` the solution of
   ``A^ij x = col_j(A^ij)``, for every carrier.
-* ``quasideterminant_via_inverse`` inverts the whole matrix by
-  ``invert_by_elimination`` and inverts the (j, i) entry of the result; the
-  test suite and the self-test cross-check it against the expand path.
-* ``all_quasideterminants`` inverts the whole matrix once by elimination
-  and reads every position from that inverse.  A position whose inverse
-  entry does not invert, or every position when the whole inverse fails,
-  falls back to the expand path, so singular minors keep its values and
-  errors.
+* ``inverse_characterization`` is the one reader of the inverse: one
+  ``invert_by_elimination``, whose entries ``car.invert_entries`` inverts
+  under the carrier's one singularity policy, reading None where one does
+  not invert.  There ``quasideterminant_via_inverse`` raises and
+  ``all_quasideterminants`` falls back to the expand path, as it does at
+  every position when the whole inverse fails.
 * ``commutative_reduction_check`` compares the expand path with the
   determinant ratio, both determinants computed exactly by elimination;
   ``commutative_reduction`` checks every position with one ``det A``.
@@ -89,6 +87,9 @@ class ExactScalarCarrier:
             raise ZeroDivisionError("inverse of exact zero")
         return a.inverse()
 
+    def invert_entries(self, entries):
+        return [None if e.is_zero() else e.inverse() for e in entries]
+
     def solve(self, rows, rhs):
         return _solve(self, rows, rhs)
 
@@ -143,6 +144,20 @@ class ComplexMatrixCarrier:
 
     def invert(self, a):
         return invert_complex_matrix(self._coerce(a))
+
+    def invert_entries(self, entries):
+        """The entries of one inverse matrix, inverted in one kernel call.  An
+        entry reads None where the kernel fails on it, or where it is at most
+        ``SINGULARITY_TOL`` times the largest entry at its stack index, since
+        that is round-off of an exact zero."""
+        import numpy as np
+
+        stack = np.stack(entries)
+        inv, failed = _gauss_jordan(stack.reshape(-1, self.dim, self.dim))
+        failed = failed.reshape(len(entries), -1)
+        mags = np.abs(stack).max(axis=(-2, -1)).reshape(len(entries), -1)
+        failed = (failed | (mags <= SINGULARITY_TOL * mags.max(axis=0))).any(axis=1)
+        return [None if bad else value for bad, value in zip(failed, inv.reshape(stack.shape))]
 
     def _flatten(self, rows) -> tuple[np.ndarray, tuple]:
         """The blocks of ``rows``, broadcast to one shape, as one scalar matrix
@@ -362,72 +377,45 @@ def quasideterminant_expand(M: BlockMatrix, i: int, j: int):
     return car.sub(M[(i, j)], acc)
 
 
-def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
-    """Inverse-characterization quasideterminant: ``((M^-1)_ji)^-1``."""
-    car = M.carrier
-    if not (0 <= i < M.n and 0 <= j < M.n):
-        raise QuasidetError(f"position ({i}, {j}) out of range for n = {M.n}")
+def inverse_characterization(M: BlockMatrix) -> list:
+    """``((M^-1)_ji)^-1`` at every position, row-major, from one inverse, or
+    None where ``car.invert_entries`` does not invert the entry.  A matrix
+    without an inverse raises ``NonInvertibleMatrix``."""
     try:
         inv = invert_by_elimination(M)
     except ZeroDivisionError as exc:
         raise NonInvertibleMatrix(str(exc)) from exc
-    entry = inv[(j, i)]
-    try:
-        return car.invert(entry)
-    except ZeroDivisionError as exc:
-        raise NonInvertibleEntry(
-            f"entry ({j}, {i}) of the inverse is not invertible"
-        ) from exc
+    return M.carrier.invert_entries([e for column in zip(*inv.rows) for e in column])
+
+
+def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
+    """Position (i, j) of ``inverse_characterization``: ``((M^-1)_ji)^-1``."""
+    if not (0 <= i < M.n and 0 <= j < M.n):
+        raise QuasidetError(f"position ({i}, {j}) out of range for n = {M.n}")
+    value = inverse_characterization(M)[i * M.n + j]
+    if value is None:
+        raise NonInvertibleEntry(f"entry ({j}, {i}) of the inverse is not invertible")
+    return value
 
 
 def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
-    """All n^2 positions, in row-major order, from one elimination inverse.
+    """All n^2 positions, in row-major order, from ``inverse_characterization``.
 
-    Position (i, j) is ``((M^-1)_ji)^-1``.  Where that entry does not invert,
-    or where ``M`` itself does not, the position is evaluated by
-    ``quasideterminant_expand`` instead, so a singular minor raises the same
-    ``NonInvertibleMinor`` as the per-position path.  Complex entries of the
-    inverse are inverted together in one kernel call.  For n = 1 the single
-    entry is returned as is.
+    Where it reads None, or everywhere if ``M`` has no inverse, the position
+    is evaluated by ``quasideterminant_expand``, so a singular minor raises
+    the same ``NonInvertibleMinor``.  For n = 1 the entry is returned as is.
     """
     if M.n == 1:
         return {(0, 0): M[(0, 0)]}
     positions = [(i, j) for i in range(M.n) for j in range(M.n)]
     try:
-        inv = invert_by_elimination(M)
-    except ZeroDivisionError:
-        return {(i, j): quasideterminant_expand(M, i, j) for i, j in positions}
-    values = _invert_entries(M.carrier, [inv[(j, i)] for i, j in positions])
+        values = inverse_characterization(M)
+    except NonInvertibleMatrix:
+        values = [None] * len(positions)
     return {
         (i, j): quasideterminant_expand(M, i, j) if value is None else value
         for (i, j), value in zip(positions, values)
     }
-
-
-def _invert_entries(car, entries: list) -> list:
-    """The inverse of each entry, or None where it does not invert.
-
-    Complex entries are the whole inverse; one at most ``SINGULARITY_TOL``
-    times the inverse's largest magnitude at the same stack index is
-    round-off of an exact zero and counts as not invertible.
-    """
-    if isinstance(car, ComplexMatrixCarrier):
-        import numpy as np
-
-        stack = np.stack(entries)
-        inv, failed = _gauss_jordan(stack.reshape(-1, car.dim, car.dim))
-        failed = failed.reshape(len(entries), -1)
-        mags = np.abs(stack).max(axis=(-2, -1)).reshape(len(entries), -1)
-        failed |= mags <= SINGULARITY_TOL * mags.max(axis=0)
-        failed = failed.any(axis=1)
-        return [None if bad else value for bad, value in zip(failed, inv.reshape(stack.shape))]
-    out = []
-    for entry in entries:
-        try:
-            out.append(car.invert(entry))
-        except ZeroDivisionError:
-            out.append(None)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -97,6 +97,28 @@ def test_criterion_6_inverse_characterization():
     assert result["pass"]
 
 
+def test_criterion_6_inverts_each_matrix_once(monkeypatch):
+    # 100 matrices: one inverse each, read at all 665 positions
+    calls = []
+    inverse = quasidet.invert_by_elimination
+    monkeypatch.setattr(quasidet, "invert_by_elimination", lambda M: calls.append(M.n) or inverse(M))
+    result = acceptance.criterion_6_inverse_characterization()
+    assert result["positions_compared"] == 665
+    assert len(calls) == 100
+
+
+def test_criterion_6_fails_where_the_inverse_reads_none(monkeypatch):
+    invert_entries = quasidet.ComplexMatrixCarrier.invert_entries
+
+    def first_undefined(self, entries):
+        return [None, *invert_entries(self, entries)[1:]]
+
+    monkeypatch.setattr(quasidet.ComplexMatrixCarrier, "invert_entries", first_undefined)
+    result = acceptance.criterion_6_inverse_characterization()
+    assert (result["positions_undefined"], result["positions_compared"]) == (100, 565)
+    assert result["pass"] is False
+
+
 def test_criterion_7_integrator_order():
     result = acceptance.criterion_7_integrator_order()
     _announce(result)

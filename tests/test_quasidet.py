@@ -153,6 +153,15 @@ def with_singular_minor(rng, n):
     return M
 
 
+def with_singular_block_minor(rng):
+    """A random 3x3 matrix of 2x2 blocks whose (0, 0) minor is [[I, I], [I, I]]."""
+    M = [random_block_matrix(rng, 3, 2) for _ in range(3)][-1]
+    for r in (1, 2):
+        for c in (1, 2):
+            M.rows[r][c] = np.eye(2, dtype=complex)
+    return M
+
+
 # -- basic positions ---------------------------------------------------------
 
 
@@ -236,16 +245,47 @@ def test_all_quasideterminants_swap_matrix_raises_like_expand():
 def test_all_quasideterminants_round_off_entry_raises_like_expand():
     # the (0, 0) minor [[I, I], [I, I]] is singular, so entry (0, 0) of the
     # inverse is zero up to round-off; inverting that noise gave a 1e16 block
-    rng = random.Random(8)
-    M = [random_block_matrix(rng, 3, 2) for _ in range(3)][-1]
-    for r in (1, 2):
-        for c in (1, 2):
-            M.rows[r][c] = np.eye(2, dtype=complex)
+    M = with_singular_block_minor(random.Random(8))
     with pytest.raises(NonInvertibleMinor) as want:
         quasideterminant_expand(M, 0, 0)
     with pytest.raises(NonInvertibleMinor) as got:
         all_quasideterminants(M)
     assert (got.value.row, got.value.col, str(got.value)) == (0, 0, str(want.value))
+    with pytest.raises(NonInvertibleEntry):
+        quasideterminant_via_inverse(M, 0, 0)
+
+
+def test_via_inverse_reads_like_all_quasideterminants():
+    # one singularity policy: via_inverse returns the value of
+    # all_quasideterminants bit for bit, and raises exactly at the positions
+    # where all_quasideterminants fell back to the expand path
+    import qpii.quasidet as qd
+
+    rng = random.Random(2301)
+    matrices = [exact_matrix([[0, 1], [1, 0]]), with_singular_block_minor(rng)]
+    for n in (2, 3, 4):
+        matrices += [random_exact_matrix(rng, n), with_singular_minor(rng, n)]
+        matrices += [random_block_matrix(rng, n, d) for d in (2, 3)]
+    singular = random_block_matrix(rng, 3, 2)
+    singular.rows[1] = singular.rows[0][:]
+    matrices.append(singular)
+    fallback = object()
+    fell_back = 0
+    for M in matrices:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qd, "quasideterminant_expand", lambda *_args: fallback)
+            want = all_quasideterminants(M)
+        for (i, j), value in want.items():
+            if value is fallback:
+                fell_back += 1
+                with pytest.raises((NonInvertibleEntry, NonInvertibleMatrix)):
+                    quasideterminant_via_inverse(M, i, j)
+                continue
+            got = quasideterminant_via_inverse(M, i, j)
+            assert got == value if M.carrier is EXACT else np.array_equal(got, value)
+    # the diagonal of the swap matrix, (0, 0) of the round-off matrix, three
+    # exact singular minors, and all nine positions of the singular block matrix
+    assert fell_back == 2 + 1 + 3 + 9
 
 
 @pytest.mark.parametrize("d", [2, 3])
