@@ -6,3 +6,7 @@ numeric dressing chains with quasideterminant solution forms.
 """
 
 __version__ = "0.1.0"
+
+
+class QpiiError(Exception):
+    """Base class of every error a computation raises; the CLI reports it."""

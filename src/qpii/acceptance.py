@@ -261,13 +261,13 @@ def criterion_9_dressing_consistency() -> dict:
             dev = float(np.max(np.linalg.norm(u_rec.values - u_qd.values, axis=(1, 2))))
             worst = max(worst, dev)
             details.append({"d": d, "N": n, "deviation": dev})
-    ok = worst <= 1e-8 and bitwise_ok
+    ok = worst <= dbx.CONSISTENCY_TOL and bitwise_ok
     return {
         "id": 9,
         "name": "dressing-consistency",
         "deviations": details,
         "max_deviation": worst,
-        "tolerance": 1e-8,
+        "tolerance": dbx.CONSISTENCY_TOL,
         "one_fold_bit_identical": bitwise_ok,
         "pass": ok,
     }

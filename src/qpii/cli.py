@@ -15,7 +15,8 @@ import functools
 import json
 import sys
 
-from .quasidet import QuasidetError, all_quasideterminants, load_matrix_json
+from . import QpiiError
+from .quasidet import all_quasideterminants, load_matrix_json
 # jsonable is not called here, but the benchmark tracer wraps qpii.cli.jsonable
 from .reportio import dumps, jsonable, render_text  # noqa: F401
 
@@ -145,21 +146,6 @@ def _run_darboux(args) -> dict:
     return report
 
 
-def _reported_errors() -> tuple:
-    """Exception types that end in a structured error report and exit 1.
-
-    ``NCAlgebraError`` and ``DarbouxError`` are named only once ``ncalg``
-    and ``darboux`` are loaded: a command that never loads a module cannot
-    raise its error, and must not pay for its import.
-    """
-    errors = (QuasidetError, OSError, json.JSONDecodeError, ValueError)
-    for module, name in (("ncalg", "NCAlgebraError"), ("darboux", "DarbouxError")):
-        loaded = sys.modules.get(f"{__package__}.{module}")
-        if loaded is not None:
-            errors += (getattr(loaded, name),)
-    return errors
-
-
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     code = 0
@@ -181,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                 sys.stderr.write(
                     f"criterion {criterion['id']:>2} ({criterion['name']}): {status}\n"
                 )
-    except _reported_errors() as exc:
+    except (QpiiError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         report = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "command": args.command,

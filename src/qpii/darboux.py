@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import QpiiError
 from .quasidet import (
     SINGULARITY_TOL,
     BlockMatrix,
@@ -42,7 +43,7 @@ from .quasidet import (
 CONSISTENCY_TOL = 1e-8
 
 
-class DarbouxError(Exception):
+class DarbouxError(QpiiError):
     pass
 
 
@@ -118,14 +119,10 @@ class GridFunction:
     def max_norm(self) -> float:
         return float(np.max(np.linalg.norm(self.values, axis=(1, 2))))
 
-    @classmethod
-    def zeros(cls, z0: float, h: float, count: int, d: int) -> "GridFunction":
-        return cls(z0, h, np.zeros((count, d, d), dtype=np.complex128))
-
 
 def vacuum_seed(z0: float, h: float, count: int, d: int) -> GridFunction:
     """The trivial seed: identically zero with c = 0."""
-    return GridFunction.zeros(z0, h, count, d)
+    return GridFunction(z0, h, np.zeros((count, d, d), dtype=np.complex128))
 
 
 @dataclass

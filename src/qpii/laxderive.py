@@ -16,7 +16,6 @@ from typing import Callable
 from .gaussian import gauss
 from .ncalg import (
     Algebra,
-    AlgebraMismatchError,
     DerivationError,
     NCAlgebraError,
     NCPolynomial,
@@ -65,9 +64,6 @@ class Matrix2:
     __slots__ = ("algebra", "entries")
 
     def __init__(self, algebra: Algebra, e11, e12, e21, e22):
-        for e in (e11, e12, e21, e22):
-            if e.algebra is not algebra:
-                raise AlgebraMismatchError("matrix entries from different algebras")
         self.algebra = algebra
         self.entries = ((e11, e12), (e21, e22))
 
@@ -155,27 +151,27 @@ def build_lax(alg: Algebra | None = None) -> tuple[Matrix2, Matrix2]:
     return A, B
 
 
-def _guard_lax_entries(M: Matrix2, what: str) -> None:
+def _guard_lax_entries(M: Matrix2) -> None:
     allowed = set(LAX_GENERATORS)
     for row in M.entries:
         for e in row:
             bad = e.generators_used() - allowed
             if bad:
                 raise LaxEntryError(
-                    f"{what} entries may only involve {allowed}; found {sorted(bad)}"
+                    f"Lax entries may only involve {allowed}; found {sorted(bad)}"
                 )
 
 
 def matrix_grid_derivative(M: Matrix2) -> Matrix2:
-    """Entrywise d/dz restricted to the Lax generators."""
-    _guard_lax_entries(M, "Lax")
-    table = default_derivation_table(M.algebra).restricted(LAX_GENERATORS)
+    """Entrywise d/dz of a matrix over the Lax generators."""
+    _guard_lax_entries(M)
+    table = default_derivation_table(M.algebra)
     return M.map(lambda p: derive(p, table))
 
 
 def matrix_spectral_derivative(M: Matrix2) -> Matrix2:
     """Entrywise formal Laurent derivative in the spectral symbol."""
-    _guard_lax_entries(M, "Lax")
+    _guard_lax_entries(M)
     return M.map(lambda p: p.lambda_derivative())
 
 
@@ -186,8 +182,6 @@ def matrix_commutator(B: Matrix2, A: Matrix2) -> Matrix2:
 
 def zero_curvature_residual(A: Matrix2, B: Matrix2) -> Matrix2:
     """A_z - B_lambda - (BA - AB), each entry in free canonical form."""
-    _guard_lax_entries(A, "A")
-    _guard_lax_entries(B, "B")
     free = RewriteSystem.free(A.algebra)
     R = matrix_grid_derivative(A) - matrix_spectral_derivative(B) - matrix_commutator(B, A)
     return R.map(lambda p: normal_form(p, free))

@@ -22,18 +22,15 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from . import QpiiError
 from .gaussian import GaussianRational, gauss
 
 Word = tuple[str, ...]
 Exps = tuple[int, ...]
 
 
-class NCAlgebraError(Exception):
+class NCAlgebraError(QpiiError):
     """Base class for errors raised by this module."""
-
-
-class AlgebraMismatchError(NCAlgebraError):
-    """Two operands belong to different algebra instances."""
 
 
 class UnknownGeneratorError(NCAlgebraError):
@@ -162,9 +159,12 @@ class Algebra:
             raise NCAlgebraError(f"unknown central symbol {name!r}") from None
 
 
+_ALGEBRA = Algebra()
+
+
 def default_algebra() -> Algebra:
-    """The shipped alphabet, central symbols and inverse pairs."""
-    return Algebra()
+    """The one algebra, built at import, that every value shares."""
+    return _ALGEBRA
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +197,7 @@ class Coefficient:
         return self.terms.get(self.algebra.exps(), gauss(0))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Coefficient)
-            and self.algebra is other.algebra
-            and self.terms == other.terms
-        )
+        return isinstance(other, Coefficient) and self.terms == other.terms
 
     def __neg__(self) -> "Coefficient":
         return Coefficient(self.algebra, {e: -g for e, g in self.terms.items()})
@@ -282,12 +278,7 @@ class NCPolynomial:
 
     # -- ring operations --------------------------------------------------
 
-    def _check(self, other: "NCPolynomial") -> None:
-        if self.algebra is not other.algebra:
-            raise AlgebraMismatchError("operands from different algebras")
-
     def __add__(self, other: "NCPolynomial") -> "NCPolynomial":
-        self._check(other)
         acc = dict(self._terms)
         for k, g in other._terms.items():
             _merge(acc, k, g)
@@ -304,7 +295,6 @@ class NCPolynomial:
             return self.scale(gauss(other))
         if not isinstance(other, NCPolynomial):
             return NotImplemented
-        self._check(other)
         acc: dict = {}
         for (w1, e1), g1 in self._terms.items():
             for (w2, e2), g2 in other._terms.items():
@@ -338,19 +328,13 @@ class NCPolynomial:
         return NCPolynomial(self.algebra, acc)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, NCPolynomial)
-            and self.algebra is other.algebra
-            and self._terms == other._terms
-        )
+        return isinstance(other, NCPolynomial) and self._terms == other._terms
 
     # -- substitutions ----------------------------------------------------
 
     def substitute_generator(self, name: str, value: "NCPolynomial") -> "NCPolynomial":
         """Replace every occurrence of a generator by a polynomial."""
         self.algebra.check_word((name,))
-        if isinstance(value, NCPolynomial):
-            self._check(value)
         out = self.algebra.zero()
         for (w, e), g in self._terms.items():
             pieces = self.algebra.one()
@@ -484,18 +468,14 @@ class RewriteSystem:
 
     def __init__(self, algebra: Algebra, rules: Iterable[RewriteRule] = ()):
         self.algebra = algebra
-        self.rules: list[RewriteRule] = []
+        # the first rule for a left-hand side wins; inverse pairs come first
+        self._by_pair: dict[tuple[str, str], RewriteRule] = {}
         for a, b in algebra.inverse_pairs:
-            self.rules.append(RewriteRule((a, b), algebra.one()))
-            self.rules.append(RewriteRule((b, a), algebra.one()))
+            self._by_pair.setdefault((a, b), RewriteRule((a, b), algebra.one()))
+            self._by_pair.setdefault((b, a), RewriteRule((b, a), algebra.one()))
         for rule in rules:
             algebra.check_word(rule.lhs)
-            if rule.rhs.algebra is not algebra:
-                raise AlgebraMismatchError("rule RHS from a different algebra")
             self._validate(rule)
-            self.rules.append(rule)
-        self._by_pair = {}
-        for rule in self.rules:
             self._by_pair.setdefault(rule.lhs, rule)
 
     def _validate(self, rule: RewriteRule) -> None:
@@ -506,9 +486,6 @@ class RewriteSystem:
                     f"rule {rule.lhs} -> {rule.rhs.to_text()} does not decrease "
                     f"the word order (offending word {w})"
                 )
-
-    def rule_for(self, pair: tuple[str, str]) -> RewriteRule | None:
-        return self._by_pair.get(pair)
 
     def reducible_position(self, word: Word) -> int | None:
         """The leftmost position starting a left-hand side, or None."""
@@ -574,8 +551,6 @@ def normal_form(p: NCPolynomial, rules: RewriteSystem) -> NCPolynomial:
     Where ``critical_pairs(rules)`` is empty the result is the unique normal
     form, whatever the order; elsewhere it is this order's choice.
     """
-    if p.algebra is not rules.algebra:
-        raise AlgebraMismatchError("polynomial and rules from different algebras")
     word_key = p.algebra.word_key
     acc = dict(p._terms)
     while True:
@@ -586,7 +561,7 @@ def normal_form(p: NCPolynomial, rules: RewriteSystem) -> NCPolynomial:
         word, exps = key
         g = acc.pop(key)
         pos = rules.reducible_position(word)
-        rule = rules.rule_for((word[pos], word[pos + 1]))
+        rule = rules._by_pair[(word[pos], word[pos + 1])]
         for (rw, re_), rg in rule.rhs._terms.items():
             nk = (word[:pos] + rw + word[pos + 2 :], tuple(a + b for a, b in zip(exps, re_)))
             _merge(acc, nk, g * rg)
@@ -625,22 +600,14 @@ class DerivationTable:
     def __init__(self, algebra: Algebra, images: Mapping[str, NCPolynomial]):
         self.algebra = algebra
         self.images = dict(images)
-        for name, img in self.images.items():
+        for name in self.images:
             algebra.check_word((name,))
-            if img.algebra is not algebra:
-                raise AlgebraMismatchError("image from a different algebra")
 
     def image(self, name: str) -> NCPolynomial:
         try:
             return self.images[name]
         except KeyError:
             raise DerivationError(f"no derivative image for generator {name!r}") from None
-
-    def restricted(self, names: Iterable[str]) -> "DerivationTable":
-        keep = set(names)
-        return DerivationTable(
-            self.algebra, {n: img for n, img in self.images.items() if n in keep}
-        )
 
 
 def default_derivation_table(algebra: Algebra) -> DerivationTable:
@@ -668,8 +635,6 @@ def default_derivation_table(algebra: Algebra) -> DerivationTable:
 
 def derive(p: NCPolynomial, table: DerivationTable) -> NCPolynomial:
     """Leibniz-linear extension of the table to the whole algebra."""
-    if p.algebra is not table.algebra:
-        raise AlgebraMismatchError("polynomial and table from different algebras")
     alg = p.algebra
     out = alg.zero()
     for (w, e), g in p._terms.items():

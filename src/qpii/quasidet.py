@@ -33,6 +33,7 @@ from __future__ import annotations
 import re
 from typing import TYPE_CHECKING, Any, Sequence
 
+from . import QpiiError
 from .gaussian import GaussianRational, gauss
 
 # numpy is imported inside the functions of the complex-block carrier, so the
@@ -41,7 +42,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-class QuasidetError(Exception):
+class QuasidetError(QpiiError):
     pass
 
 

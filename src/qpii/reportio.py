@@ -9,7 +9,6 @@ Complex numbers serialize as [re, im] pairs.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 from .gaussian import GaussianRational
 
@@ -21,7 +20,7 @@ def jsonable(obj):
         return obj
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if isinstance(obj, list):
         return [jsonable(v) for v in obj]
     # numpy scalars and arrays, told by their module so that numpy need not
     # be imported; tolist gives the Python scalar or nested lists of them
@@ -29,16 +28,8 @@ def jsonable(obj):
         return jsonable(obj.tolist())
     if isinstance(obj, complex):
         return [obj.real, obj.imag]
-    if isinstance(obj, (GaussianRational, Fraction)):
+    if isinstance(obj, GaussianRational):
         return str(obj)
-    if isinstance(obj, (int, float, str)):
-        return obj
-    to_dict = getattr(obj, "to_dict", None)
-    if callable(to_dict):
-        return jsonable(to_dict())
-    to_text = getattr(obj, "to_text", None)
-    if callable(to_text):
-        return to_text()
     raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
 
 

@@ -232,11 +232,13 @@ def test_residual_vanishes_for_trivial_data(alg):
     assert R.is_zero()
 
 
-def test_residual_rejects_eigenfunction_generators(alg):
+@pytest.mark.parametrize("bad_side", ["A", "B"])
+def test_residual_rejects_eigenfunction_generators(alg, bad_side):
     A, B = build_lax(alg)
     bad = Matrix2(alg, alg.gen("chi"), alg.zero(), alg.zero(), alg.zero())
+    args = (bad, B) if bad_side == "A" else (A, bad)
     with pytest.raises(LaxEntryError, match="chi"):
-        zero_curvature_residual(bad, B)
+        zero_curvature_residual(*args)
 
 
 def test_commutator_trace_vanishes_before_rewriting(alg):
