@@ -36,6 +36,7 @@ from .quasidet import (
     parse_complex_block,
     parse_complex_scalar,
     quasideterminant_expand,
+    stack_matmul,
 )
 
 # Largest grid-wise deviation between the recursive and the quasideterminant
@@ -200,21 +201,22 @@ def integrate_eigenpairs(
     for j, (init_chi, init_phi) in enumerate(inits):
         ys[0, j, :d] = np.asarray(init_chi, dtype=np.complex128).reshape(d, d)
         ys[0, j, d:] = np.asarray(init_phi, dtype=np.complex128).reshape(d, d)
+    steps = list(ys)
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n - 1, _CHUNK_STEPS):
             b = min(a + _CHUNK_STEPS, n - 1)
             ends = _system_matrices(u.values[a : b + 1], lam_arr)
             m0, m1 = ends[:-1], ends[1:]
             mm = _system_matrices(mids[a:b], lam_arr)
-            k2 = mm + (0.5 * h) * (mm @ m0)
-            k3 = mm + (0.5 * h) * (mm @ k2)
-            k4 = m1 + h * (m1 @ k3)
+            k2 = mm + (0.5 * h) * stack_matmul(mm, m0)
+            k3 = mm + (0.5 * h) * stack_matmul(mm, k2)
+            k4 = m1 + h * stack_matmul(m1, k3)
             q = (h / 6.0) * (m0 + 2 * k2 + 2 * k3 + k4)
             # the increment form Y + Q Y, not (I + Q) Y: adding I to Q would
             # round away the low bits of every step
-            for k in range(a, b):
-                np.matmul(q[k - a], ys[k], out=ys[k + 1])
-                ys[k + 1] += ys[k]
+            for qk, y0, y1 in zip(list(q), steps[a:b], steps[a + 1 : b + 1]):
+                np.matmul(qk, y0, out=y1)
+                np.add(y1, y0, out=y1)
     pairs = []
     for j, lam in enumerate(lams):
         y = ys[:, j]
@@ -497,14 +499,15 @@ def riccati_residual_numeric(pair: Eigenpair, u: GridFunction) -> np.ndarray:
     in Frobenius norm (the spectral factor stays in the linear term).
     """
     _require_same_grid(u, pair.chi, "seed and eigenfunctions")
-    delta = pair.chi.values @ _inv(pair.phi.values, "phi")
+    delta = stack_matmul(pair.chi.values, _inv(pair.phi.values, "phi"))
     d_delta = _fd_first_derivative(delta, u.h)
+    delta_u = stack_matmul(delta, u.values)
     rhs = (
         -4j * pair.lam * delta
         + u.values
-        + np.matmul(u.values, delta)
-        - np.matmul(delta, u.values)
-        - np.matmul(np.matmul(delta, u.values), delta)
+        + stack_matmul(u.values, delta)
+        - delta_u
+        - stack_matmul(delta_u, delta)
     )
     return np.linalg.norm(d_delta - rhs, axis=(1, 2))
 
@@ -523,7 +526,7 @@ def qpii_residual_numeric(u: GridFunction, c: complex) -> np.ndarray:
     upp = (f[:-2] - 2 * f[1:-1] + f[2:]) / (h * h)
     zs = u.zs[1:-1].reshape(-1, 1, 1)
     inner = f[1:-1]
-    cube = np.matmul(np.matmul(inner, inner), inner)
+    cube = stack_matmul(stack_matmul(inner, inner), inner)
     eye = np.eye(u.d, dtype=np.complex128)
     residual = upp - 2 * cube + 4 * zs * inner - c * eye
     return np.linalg.norm(residual, axis=(1, 2))

@@ -158,7 +158,7 @@ def _guard_lax_entries(M: Matrix2) -> None:
             bad = e.generators_used() - allowed
             if bad:
                 raise LaxEntryError(
-                    f"Lax entries may only involve {allowed}; found {sorted(bad)}"
+                    f"Lax entries may only involve {sorted(allowed)}; found {sorted(bad)}"
                 )
 
 

@@ -11,7 +11,15 @@ the inverse entry exists, and over a commutative carrier it reduces to
   the solve, the inverse (a solve against the identity) and the
   determinant (its pivots and row swaps).  Complex blocks, single or
   stacked, are flattened into one scalar system per stack index for the
-  one Gauss-Jordan kernel, ``_gauss_jordan``, which reduces ``[A | B]``.
+  one Gauss-Jordan kernel, ``_gauss_jordan``, which reduces ``[A | B]``
+  for the whole stack at once.  Its work array is column-major with the
+  stack index last, and step ``k`` touches only the columns ``k..`` that
+  the rest of the elimination reads.
+* ``stack_matmul`` is the one product of complex blocks, single or
+  stacked: a sum over the inner index of broadcast products, which for
+  blocks of a few rows beats numpy's per-matrix ``@``.  The carrier's
+  ``mul`` and the numeric backend's whole-grid products use it; the
+  integrator's step loop keeps one ``np.matmul`` per grid step.
 * ``quasideterminant_expand`` evaluates one position by the pivot formula
   ``a_ij - row_i(A^ij) x`` with ``x`` the solution of
   ``A^ij x = col_j(A^ij)``, for every carrier.
@@ -138,7 +146,7 @@ class ComplexMatrixCarrier:
         return a - b
 
     def mul(self, a, b):
-        return a @ b
+        return stack_matmul(a, b)
 
     def scale(self, w, a):
         return w * a
@@ -217,30 +225,52 @@ def _raise_first_failure(failed: np.ndarray) -> None:
         raise err
 
 
+def stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for small blocks, single or stacked, as a sum over the inner
+    index of broadcast products: one multiply and one add per inner index,
+    with a single block broadcast against a stack.  The sum runs in index
+    order, so it agrees with ``@`` to round-off, not bit for bit."""
+    out = a[..., :, :1] * b[..., :1, :]
+    for m in range(1, a.shape[-1]):
+        out += a[..., :, m : m + 1] * b[..., m : m + 1, :]
+    return out
+
+
 def _gauss_jordan(a: np.ndarray, b: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Stacked ``X`` with ``a X = b`` by reducing ``[a | b]``, and the mask of
     systems whose pivot fell below the cutoff.  ``b`` defaults to the
-    identity, so ``X`` is the inverse."""
+    identity, so ``X`` is the inverse.
+
+    The work array holds entry (r, c) of system s at ``w[c, r, s]``, so a
+    column of every system is one contiguous slab and each step's row
+    operations run over the whole stack at once.  Step ``k`` reads only
+    columns ``k..``: the columns left of the pivot are reduced and never
+    read again, so the row swap touches columns ``k..`` and the division
+    and the update only ``k+1..``.
+    """
     import numpy as np
 
     count, n, _ = a.shape
-    scale = np.max(np.abs(a), axis=(1, 2))
-    rhs = np.broadcast_to(np.eye(n), a.shape) if b is None else b
-    w = np.concatenate((a, rhs), axis=2).astype(np.complex128)
-    stack = np.arange(count)
+    cut = SINGULARITY_TOL * np.max(np.abs(a), axis=(1, 2))
+    w = np.empty((n + (n if b is None else b.shape[2]), n, count), dtype=np.complex128)
+    w[:n] = a.transpose(2, 1, 0)
+    w[n:] = np.eye(n)[:, :, None] if b is None else b.transpose(2, 1, 0)
+    flat = w.reshape(-1)
+    at = np.arange(flat.size).reshape(w.shape)
     failed = np.zeros(count, dtype=bool)
     for k in range(n):
-        pivot_row = k + np.argmax(np.abs(w[:, k:, k]), axis=1)
-        failed |= np.abs(w[stack, pivot_row, k]) <= SINGULARITY_TOL * scale
-        row_k = w[:, k].copy()
-        w[:, k] = w[stack, pivot_row]
-        w[stack, pivot_row] = row_k
+        # flat positions of the pivot row's live entries, one row per system
+        pivot_at = np.argmax(np.abs(w[k, k:]), axis=0) * count + at[k:, k]
+        pivot_row = flat.take(pivot_at)
+        flat.put(pivot_at, w[k:, k])
+        w[k:, k] = pivot_row
+        failed |= np.abs(pivot_row[0]) <= cut
         # a failed matrix divides by one so the rest of the stack stays finite
-        w[:, k] /= np.where(failed, 1.0, w[:, k, k])[:, None]
-        f = w[:, :, k].copy()
-        f[:, k] = 0
-        w -= f[:, :, None] * w[:, None, k]
-    return w[:, :, n:], failed
+        w[k + 1 :, k] /= np.where(failed, 1.0, pivot_row[0])
+        f = w[k].copy()
+        f[k] = 0
+        w[k + 1 :] -= f * w[k + 1 :, k, None]
+    return np.ascontiguousarray(w[n:].transpose(2, 1, 0)), failed
 
 
 # ---------------------------------------------------------------------------

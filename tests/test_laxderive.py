@@ -5,7 +5,11 @@ plain dicts; it shares no code with the package so the two computations
 cross-check each other term by term.
 """
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -239,6 +243,35 @@ def test_residual_rejects_eigenfunction_generators(alg, bad_side):
     args = (bad, B) if bad_side == "A" else (A, bad)
     with pytest.raises(LaxEntryError, match="chi"):
         zero_curvature_residual(*args)
+
+
+_BAD_ENTRY_MESSAGE = """
+from qpii.laxderive import LaxEntryError, Matrix2, build_lax, zero_curvature_residual
+from qpii.ncalg import default_algebra
+alg = default_algebra()
+A, B = build_lax(alg)
+try:
+    zero_curvature_residual(Matrix2(alg, alg.gen("chi"), alg.zero(), alg.zero(), alg.zero()), B)
+except LaxEntryError as exc:
+    print(exc)
+"""
+
+
+def test_lax_entry_message_does_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parents[1] / "src"
+    messages = []
+    for seed in ("1", "2", "3"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _BAD_ENTRY_MESSAGE],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        messages.append(proc.stdout)
+    assert "chi" in messages[0]
+    assert messages[0] == messages[1] == messages[2]
 
 
 def test_commutator_trace_vanishes_before_rewriting(alg):

@@ -13,6 +13,8 @@ from qpii.quasidet import (
     NonInvertibleEntry,
     NonInvertibleMatrix,
     NonInvertibleMinor,
+    SINGULARITY_TOL,
+    _gauss_jordan,
     _solve,
     all_quasideterminants,
     commutative_reduction,
@@ -23,6 +25,7 @@ from qpii.quasidet import (
     load_matrix_json,
     quasideterminant_expand,
     quasideterminant_via_inverse,
+    stack_matmul,
 )
 
 EXACT = ExactScalarCarrier()
@@ -611,6 +614,88 @@ def test_elimination_inverse_exact():
                     for k in range(n):
                         acc = acc + M[(i, k)] * inv[(k, j)]
                     assert acc == (gauss(1) if i == j else gauss(0))
+
+
+# -- small-block kernels --------------------------------------------------------
+
+
+def gauss_jordan_reference(a, b=None):
+    """Whole-row stacked Gauss-Jordan: reduces every column of ``[a | b]`` in
+    a ``(count, n, n + m)`` array at every step.  ``_gauss_jordan`` must
+    return the same bits for X and for the failure mask."""
+    count, n, _ = a.shape
+    scale = np.max(np.abs(a), axis=(1, 2))
+    rhs = np.broadcast_to(np.eye(n), a.shape) if b is None else b
+    w = np.concatenate((a, rhs), axis=2).astype(np.complex128)
+    stack = np.arange(count)
+    failed = np.zeros(count, dtype=bool)
+    for k in range(n):
+        pivot_row = k + np.argmax(np.abs(w[:, k:, k]), axis=1)
+        failed |= np.abs(w[stack, pivot_row, k]) <= SINGULARITY_TOL * scale
+        row_k = w[:, k].copy()
+        w[:, k] = w[stack, pivot_row]
+        w[stack, pivot_row] = row_k
+        w[:, k] /= np.where(failed, 1.0, w[:, k, k])[:, None]
+        f = w[:, :, k].copy()
+        f[:, k] = 0
+        w -= f[:, :, None] * w[:, None, k]
+    return w[:, :, n:], failed
+
+
+def _complex_normal(rng, shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize(
+    "a_lead, b_lead, blocks",
+    [((), (7,), 1), ((7,), (), 1), ((7,), (7,), 1), ((7, 3), (7, 3), 2)],
+    ids=["block-stack", "stack-block", "stack-stack", "pair-system"],
+)
+def test_stack_matmul_matches_numpy(d, a_lead, b_lead, blocks):
+    # the integrator's pair system has 2d x 2d blocks per sample and value
+    rng = np.random.default_rng(d)
+    m = blocks * d
+    a = _complex_normal(rng, a_lead + (m, m))
+    b = _complex_normal(rng, b_lead + (m, m))
+    got, want = stack_matmul(a, b), np.matmul(a, b)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _tall_stack(rng, count, d):
+    a = _complex_normal(rng, (count, d, d))
+    a[3] *= 1e6  # the cutoff is relative to each matrix's own scale
+    a[5] = 0.0
+    if d > 1:
+        a[8, -1] = a[8, 0]  # a repeated row: singular up to round-off
+        a[11, :, 0] *= 1e-3  # a small first column moves the first pivot
+        a[13] = a[13, ::-1]  # the same rows in reverse order
+    return a
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("solve", [False, True], ids=["inverse", "solve"])
+def test_gauss_jordan_matches_reference_on_tall_stacks(d, solve):
+    rng = np.random.default_rng(20 + d)
+    a = _tall_stack(rng, 301, d)
+    b = _complex_normal(rng, (301, d, 2)) if solve else None
+    x, failed = _gauss_jordan(a, b)
+    want_x, want_failed = gauss_jordan_reference(a, b)
+    assert np.array_equal(failed, want_failed)
+    assert failed[5] and (d == 1 or failed[8]) and not failed[3]
+    assert np.array_equal(x, want_x)
+
+
+@pytest.mark.parametrize("solve", [False, True], ids=["inverse", "solve"])
+def test_gauss_jordan_matches_reference_on_one_large_matrix(solve):
+    rng = np.random.default_rng(36)
+    a = _complex_normal(rng, (1, 36, 36))
+    b = _complex_normal(rng, (1, 36, 3)) if solve else None
+    x, failed = _gauss_jordan(a, b)
+    want_x, want_failed = gauss_jordan_reference(a, b)
+    assert np.array_equal(failed, want_failed) and not failed.any()
+    assert np.array_equal(x, want_x)
 
 
 # -- commutative reduction ----------------------------------------------------
