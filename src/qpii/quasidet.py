@@ -29,9 +29,11 @@ the inverse entry exists, and over a commutative carrier it reduces to
   not invert.  There ``quasideterminant_via_inverse`` raises and
   ``all_quasideterminants`` falls back to the expand path, as it does at
   every position when the whole inverse fails.
-* ``commutative_reduction_check`` compares the expand path with the
-  determinant ratio, both determinants computed exactly by elimination;
-  ``commutative_reduction`` checks every position with one ``det A``.
+* ``commutative_reduction_check`` compares the pivot formula with the
+  determinant ratio, exactly.  One elimination of each minor ``A^ij``, with
+  ``col_j(A^ij)`` as its right-hand side, gives both ``det A^ij`` and the
+  pivot-formula value; ``det A`` comes from its own elimination, once for
+  every position in ``commutative_reduction``.
 
 Indices are 0-based throughout.
 """
@@ -351,10 +353,16 @@ def _solve(car, rows: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> 
     ``rhs`` is a list of rows, any number of columns wide; neither argument
     is modified.
     """
-    mul, sub = car.mul, car.sub
     work = [list(row) for row in rows]
     b = [list(row) for row in rhs]
     pivot_invs, _swaps = _eliminate(car, work, b)
+    return _back_substitute(car, work, b, pivot_invs)
+
+
+def _back_substitute(car, work: list, b: list, pivot_invs: list) -> list[list]:
+    """``X`` from the triangular ``work`` and the right-hand side ``b`` that
+    ``_eliminate`` left, and its pivot inverses; neither list is modified."""
+    mul, sub = car.mul, car.sub
     n = len(work)
     x = [None] * n
     for k in reversed(range(n)):
@@ -390,22 +398,31 @@ def quasideterminant_expand(M: BlockMatrix, i: int, j: int):
     ``x = car.solve(A^ij, col)`` solves ``A^ij x = col``, so no minor is
     inverted.  A minor without a solve raises ``NonInvertibleMinor``.
     """
-    car = M.carrier
-    n = M.n
-    if not (0 <= i < n and 0 <= j < n):
-        raise QuasidetError(f"position ({i}, {j}) out of range for n = {n}")
-    if n == 1:
+    _check_position(M, i, j)
+    if M.n == 1:
         return M[(0, 0)]
-    row = [e for c, e in enumerate(M.rows[i]) if c != j]
     col = [[e[j]] for r, e in enumerate(M.rows) if r != i]
     try:
-        x = car.solve(M.minor(i, j).rows, col)
+        x = M.carrier.solve(M.minor(i, j).rows, col)
     except ZeroDivisionError as exc:
         raise NonInvertibleMinor(i, j, str(exc)) from exc
+    return _pivot_formula(M, i, j, x)
+
+
+def _pivot_formula(M: BlockMatrix, i: int, j: int, x: list):
+    """``a_ij - sum_p row_p x_p`` over row i without column j, given the
+    one-column solution ``x`` of ``A^ij x = col_j``."""
+    car = M.carrier
+    row = [e for c, e in enumerate(M.rows[i]) if c != j]
     acc = car.zero()
     for r, (xr,) in zip(row, x):
         acc = car.add(acc, car.mul(r, xr))
     return car.sub(M[(i, j)], acc)
+
+
+def _check_position(M: BlockMatrix, i: int, j: int) -> None:
+    if not (0 <= i < M.n and 0 <= j < M.n):
+        raise QuasidetError(f"position ({i}, {j}) out of range for n = {M.n}")
 
 
 def inverse_characterization(M: BlockMatrix) -> list:
@@ -421,8 +438,7 @@ def inverse_characterization(M: BlockMatrix) -> list:
 
 def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
     """Position (i, j) of ``inverse_characterization``: ``((M^-1)_ji)^-1``."""
-    if not (0 <= i < M.n and 0 <= j < M.n):
-        raise QuasidetError(f"position ({i}, {j}) out of range for n = {M.n}")
+    _check_position(M, i, j)
     value = inverse_characterization(M)[i * M.n + j]
     if value is None:
         raise NonInvertibleEntry(f"entry ({j}, {i}) of the inverse is not invertible")
@@ -468,6 +484,12 @@ def det_by_elimination(M: BlockMatrix) -> GaussianRational:
         _pivot_invs, swaps = _eliminate(car, work, [[] for _ in work])
     except ZeroDivisionError:
         return car.zero()
+    return _pivot_det(car, work, swaps)
+
+
+def _pivot_det(car, work: list, swaps: int) -> GaussianRational:
+    """The determinant from the pivots on the diagonal of the ``work`` that
+    ``_eliminate`` left, with one sign flip per row swap."""
     det = car.one()
     for k, row in enumerate(work):
         det = det * row[k]
@@ -488,21 +510,32 @@ def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
 
     Returns None (vacuous) when the minor determinant is zero, otherwise
     the boolean outcome of the exact comparison.  For n = 1 the minor is
-    empty and its determinant is 1.  A carrier other than the exact scalar
-    one raises ``QuasidetError`` from ``det_by_elimination``.
+    empty and its determinant is 1.  A position out of range, or a carrier
+    other than the exact scalar one, raises ``QuasidetError``.
     """
+    _check_position(M, i, j)
     return _reduction_outcome(M, i, j, det_by_elimination(M))
 
 
 def _reduction_outcome(M: BlockMatrix, i: int, j: int, det: GaussianRational) -> bool | None:
-    """Position (i, j) of the reduction check, given ``det M``."""
-    det_minor = det_by_elimination(M.minor(i, j)) if M.n > 1 else M.carrier.one()
-    if det_minor.is_zero():
+    """Position (i, j) of the reduction check, given ``det M``.
+
+    One forward elimination of the minor ``A^ij``, with ``col_j(A^ij)``
+    carried as its right-hand side, gives both sides: ``det A^ij`` from its
+    pivots and row swaps, and by back substitution the ``x`` of the pivot
+    formula.  A minor without a pivot in some column is singular: vacuous.
+    """
+    car = M.carrier
+    work = [[e for c, e in enumerate(row) if c != j] for r, row in enumerate(M.rows) if r != i]
+    col = [[row[j]] for r, row in enumerate(M.rows) if r != i]
+    try:
+        pivot_invs, swaps = _eliminate(car, work, col)
+    except ZeroDivisionError:
         return None
-    expected = det * det_minor.inverse()
+    expected = det * _pivot_det(car, work, swaps).inverse()
     if (i + j) % 2:
         expected = -expected
-    return quasideterminant_expand(M, i, j) == expected
+    return _pivot_formula(M, i, j, _back_substitute(car, work, col, pivot_invs)) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -81,13 +81,27 @@ def test_criterion_5_commutative_reduction():
 
 
 def test_criterion_5_computes_det_once_per_matrix(monkeypatch):
-    # 200 matrices: one det A each, plus one minor determinant per position
-    calls = []
-    det = quasidet.det_by_elimination
-    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: calls.append(M.n) or det(M))
+    # 200 matrices: one det A each, and one elimination per position, whose
+    # minor gives both its determinant and the pivot-formula value
+    dets, eliminations = [], []
+    det, eliminate = quasidet.det_by_elimination, quasidet._eliminate
+    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: dets.append(M.n) or det(M))
+    monkeypatch.setattr(
+        quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
+    )
     result = acceptance.criterion_5_commutative_reduction()
     assert (result["positions_checked"], result["positions_vacuous"], result["failures"]) == (2012, 3, 0)
-    assert len(calls) == 200 + 2012 + 3
+    assert len(dets) == 200
+    assert len(eliminations) == 200 + 2012 + 3
+
+
+def test_criterion_5_seeded_sweep():
+    vacuous = 0
+    for seed in range(1, 6):
+        result = acceptance.criterion_5_commutative_reduction(seed)
+        assert (result["pass"], result["failures"]) == (True, 0), result
+        vacuous += result["positions_vacuous"]
+    assert vacuous > 0
 
 
 def test_criterion_6_inverse_characterization():

@@ -184,11 +184,16 @@ def test_quasidet_exact_entry_beyond_float_range(tmp_path, capsys):
 
 
 def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypatch):
-    # n^2 minor determinants and one det A; checking position by position
-    # computes det A again at each of the n^2 positions
-    calls = []
-    det = quasidet.det_by_elimination
-    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: calls.append(M.n) or det(M))
+    # one det A for the check; checking position by position would compute
+    # it again at each of the n^2 positions.  Eliminations: one for the
+    # inverse, one for det A and one per minor, which gives both the minor's
+    # determinant and the pivot-formula value.
+    dets, eliminations = [], []
+    det, eliminate = quasidet.det_by_elimination, quasidet._eliminate
+    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: dets.append(M.n) or det(M))
+    monkeypatch.setattr(
+        quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
+    )
     matrix = tmp_path / "n4.json"
     matrix.write_text(json.dumps([
         ["-1+0i", "5/4+3i", "-4+0i", "-3/2+4i"],
@@ -199,7 +204,8 @@ def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypat
     code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
     assert code == 0
     assert json.loads(out)["commutative_reduction"] == {f"{i},{j}": True for i in range(4) for j in range(4)}
-    assert sorted(calls) == [3] * 16 + [4]
+    assert dets == [4]
+    assert sorted(eliminations) == [3] * 16 + [4, 4]
 
 
 def test_quasidet_has_no_carrier_flag(capsys):

@@ -13,8 +13,10 @@ from qpii.quasidet import (
     NonInvertibleEntry,
     NonInvertibleMatrix,
     NonInvertibleMinor,
+    QuasidetError,
     SINGULARITY_TOL,
     _gauss_jordan,
+    _reduction_outcome,
     _solve,
     all_quasideterminants,
     commutative_reduction,
@@ -753,6 +755,79 @@ def test_reduction_check_vacuous_on_singular_minor():
     # minor of (2, 2) is [[1,2],[1,2]], singular
     assert commutative_reduction_check(M, 2, 2) is None
     assert commutative_reduction(M)[8] is None
+
+
+def reduction_outcome_reference(M, i, j, det):
+    """Test oracle: position (i, j) of the reduction check by two eliminations
+    of the minor, ``det_by_elimination`` for ``det A^ij`` and the solve inside
+    ``quasideterminant_expand`` for the pivot formula.  ``_reduction_outcome``
+    must return the same outcome from one."""
+    det_minor = det_by_elimination(M.minor(i, j)) if M.n > 1 else M.carrier.one()
+    if det_minor.is_zero():
+        return None
+    expected = det * det_minor.inverse()
+    if (i + j) % 2:
+        expected = -expected
+    return quasideterminant_expand(M, i, j) == expected
+
+
+def reduction_cases():
+    """Seeded exact matrices, n = 1..7: dense ones, zero-heavy ones whose
+    minors need row swaps or are singular, ones with a zero leading entry or
+    a last row that repeats a combination of the first two, and
+    ``[[0, 1], [1, 0]]``."""
+    rng = random.Random(2611)
+    for n in range(1, 8):
+        for trial in range(4 if n <= 5 else 2):
+            M = zero_heavy_matrix(rng, n) if trial % 2 else random_exact_matrix(rng, n)
+            if n >= 3 and trial == 2:
+                M.rows[-1] = [a - gauss(2) * b for a, b in zip(M.rows[0], M.rows[1])]
+            if trial == 0:
+                M.rows[0][0] = gauss(0)
+            yield M
+    yield exact_matrix([[0, 1], [1, 0]])
+
+
+def test_reduction_outcome_matches_two_elimination_reference():
+    outcomes = []
+    for M in reduction_cases():
+        det = det_by_elimination(M)
+        for i in range(M.n):
+            for j in range(M.n):
+                got = _reduction_outcome(M, i, j, det)
+                assert got is reduction_outcome_reference(M, i, j, det), (M.rows, i, j)
+                outcomes.append(got)
+    assert set(outcomes) == {True, None}
+    assert outcomes.count(None) >= 20
+
+
+def test_reduction_outcome_reads_a_wrong_det_as_false():
+    live = 0
+    for M in reduction_cases():
+        wrong = det_by_elimination(M) + gauss(1)
+        for i in range(M.n):
+            for j in range(M.n):
+                got = _reduction_outcome(M, i, j, wrong)
+                assert got is reduction_outcome_reference(M, i, j, wrong)
+                assert got is not True
+                live += got is False
+    assert live > 100
+
+
+def test_reduction_check_rejects_bad_positions_and_carriers():
+    regular = exact_matrix([[2, 1, 0], [1, 3, 1], [0, 1, 4]])
+    # every minor of the singular matrix at an in-range position is singular
+    singular = exact_matrix([[1, 1, 1], [1, 1, 1], [1, 1, 1]])
+    for M in (regular, singular):
+        for i, j in ((5, 5), (-1, -1), (3, 0), (0, -1)):
+            with pytest.raises(QuasidetError, match="out of range"):
+                commutative_reduction_check(M, i, j)
+    assert commutative_reduction(singular) == [None] * 9
+    blocks = random_block_matrix(random.Random(7), 3, 2)
+    with pytest.raises(QuasidetError, match="exact scalar carrier"):
+        commutative_reduction_check(blocks, 0, 0)
+    with pytest.raises(QuasidetError, match="exact scalar carrier"):
+        commutative_reduction(blocks)
 
 
 # -- expand vs via-inverse over matrix blocks ---------------------------------
