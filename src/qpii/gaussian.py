@@ -6,14 +6,15 @@ canonical form: ``den > 0`` and ``gcd(a, b, den) == 1``, so zero is
 operation builds its result with integer arithmetic and one gcd; ``+`` and
 ``-`` of equal denominators skip the cross products.  ``re`` and ``im`` are
 ``Fraction`` views built on demand, and ``hash`` agrees with
-``hash((re, im))``.
+``hash((re, im))``.  ``scaled_to_integers`` reads values for integer
+kernels: Gaussian-integer ``(re, im)`` int pairs over a common scale.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?$")
 _PURE_IM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)i$")
@@ -165,3 +166,11 @@ def gauss(re=0, im=0) -> GaussianRational:
     if isinstance(re, str):
         return GaussianRational.parse(re)
     return GaussianRational(re, im)
+
+
+def scaled_to_integers(values) -> tuple[list[tuple[int, int]], int]:
+    """``values`` times ``L``, the lcm of their denominators, as Gaussian-integer
+    ``(re, im)`` int pairs, and ``L``."""
+    triples = [x._t for x in values]
+    scale = lcm(*(den for _a, _b, den in triples))
+    return [(a * (scale // den), b * (scale // den)) for a, b, den in triples], scale

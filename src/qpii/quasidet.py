@@ -7,9 +7,9 @@ the inverse entry exists, and over a commutative carrier it reduces to
 
 * Elimination is a carrier operation: ``car.solve(rows, rhs)`` returns
   ``X`` with ``rows X = rhs`` and ``car.invert_matrix(rows)`` the inverse.
-  Exact scalars run one forward elimination, ``_eliminate``, which serves
-  the solve, the inverse (a solve against the identity) and the
-  determinant (its pivots and row swaps).  Complex blocks, single or
+  Exact scalars run one rational forward elimination, ``_eliminate``,
+  which serves the solve and the inverse (a solve against the identity)
+  for every exact carrier.  Complex blocks, single or
   stacked, are flattened into one scalar system per stack index for the
   one Gauss-Jordan kernel, ``_gauss_jordan``, which reduces ``[A | B]``
   for the whole stack at once.  Its work array is column-major with the
@@ -29,11 +29,18 @@ the inverse entry exists, and over a commutative carrier it reduces to
   not invert.  There ``quasideterminant_via_inverse`` raises and
   ``all_quasideterminants`` falls back to the expand path, as it does at
   every position when the whole inverse fails.
-* ``commutative_reduction_check`` compares the pivot formula with the
-  determinant ratio, exactly.  One elimination of each minor ``A^ij``, with
-  ``col_j(A^ij)`` as its right-hand side, gives both ``det A^ij`` and the
-  pivot-formula value; ``det A`` comes from its own elimination, once for
-  every position in ``commutative_reduction``.
+* Determinants and the commutative cross-check run fraction-free on
+  Gaussian integers: each row of an exact matrix is scaled once by the lcm
+  of its denominators into ``(re, im)`` int pairs, and ``_fraction_free``
+  (Bareiss elimination, every update divided exactly by the previous
+  pivot) builds no rational and runs no gcd.  ``det_by_elimination``
+  reads the last pivot.
+  ``commutative_reduction_check`` compares the pivot formula with the
+  determinant ratio, exactly: one ``_fraction_free`` of each minor
+  ``[G^ij | g_j]`` and fraction-free back substitution give both
+  ``det A^ij`` and the pivot-formula value as Gaussian integers; ``det A``
+  comes from ``det_by_elimination``, once for every position in
+  ``commutative_reduction``.
 
 Indices are 0-based throughout.
 """
@@ -41,10 +48,11 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from typing import TYPE_CHECKING, Any, Sequence
 
 from . import QpiiError
-from .gaussian import GaussianRational, gauss
+from .gaussian import GaussianRational, gauss, scaled_to_integers
 
 # numpy is imported inside the functions of the complex-block carrier, so the
 # exact path (and every command that only uses it) starts without numpy
@@ -471,38 +479,84 @@ def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
 
 
 def det_by_elimination(M: BlockMatrix) -> GaussianRational:
-    """Exact determinant from the pivots and row swaps of ``_eliminate``.
-
-    Each row swap flips the sign; a column without a nonzero candidate makes
-    the determinant zero.
+    """Exact determinant by ``_fraction_free`` on the Gaussian-integer rows
+    of ``M``: the last pivot, with one sign flip per row swap, divided by
+    the row scales.  A column without a nonzero candidate makes it zero.
     """
-    car = M.carrier
-    if not isinstance(car, ExactScalarCarrier):
+    rows, scale = _integer_rows(M)
+    sign = _fraction_free(rows)
+    if not sign:
+        return gauss(0)
+    a, b = rows[-1][-1]
+    return GaussianRational(Fraction(sign * a, scale), Fraction(sign * b, scale))
+
+
+def _integer_rows(M: BlockMatrix) -> tuple[list[list[tuple[int, int]]], int]:
+    """``G``, each row of the exact matrix ``M`` times the lcm of its entries'
+    denominators as Gaussian-integer ``(re, im)`` pairs, and the product of
+    those lcms, so ``det G = det M * product``."""
+    if not isinstance(M.carrier, ExactScalarCarrier):
         raise QuasidetError("exact determinant requires the exact scalar carrier")
-    work = [row[:] for row in M.rows]
-    try:
-        _pivot_invs, swaps = _eliminate(car, work, [[] for _ in work])
-    except ZeroDivisionError:
-        return car.zero()
-    return _pivot_det(car, work, swaps)
+    rows, scale = [], 1
+    for row in M.rows:
+        ints, row_scale = scaled_to_integers(row)
+        rows.append(ints)
+        scale *= row_scale
+    return rows, scale
 
 
-def _pivot_det(car, work: list, swaps: int) -> GaussianRational:
-    """The determinant from the pivots on the diagonal of the ``work`` that
-    ``_eliminate`` left, with one sign flip per row swap."""
-    det = car.one()
-    for k, row in enumerate(work):
-        det = det * row[k]
-    return -det if swaps % 2 else det
+def _fraction_free(rows: list) -> int:
+    """Bareiss elimination in place of rows of Gaussian-integer ``(re, im)``
+    pairs; rows may be wider than their count, and the extra columns take
+    the same row operations.
+
+    Each column takes the first nonzero candidate at or below the diagonal,
+    as ``_eliminate`` does.  The update ``(p e - a q) / prev`` divides exactly
+    by the previous pivot, so every entry stays a Gaussian integer and the
+    pivot at ``k`` is the leading ``(k+1)``-minor of the row-permuted matrix:
+    the last one is its determinant.  Entries below the diagonal are stale.
+    Returns ``(-1)^swaps``, or 0 when a column has no nonzero candidate.
+    """
+    n = len(rows)
+    sign = 1
+    vr, vi = 1, 0  # the previous pivot
+    for k in range(n):
+        for p in range(k, n):
+            if rows[p][k] != (0, 0):
+                break
+        else:
+            return 0
+        if p != k:
+            rows[k], rows[p] = rows[p], rows[k]
+            sign = -sign
+        # (p e - a q) / v = (p v* e - a v* q) / |v|^2: the conjugate v* goes
+        # into p once per step and into a once per row, leaving an exact
+        # division by the integer norm
+        pr, pi = rows[k][k]
+        pr, pi = pr * vr + pi * vi, pi * vr - pr * vi
+        norm = vr * vr + vi * vi
+        pivot_row = rows[k]
+        for row in rows[k + 1:]:
+            ar, ai = row[k]
+            ar, ai = ar * vr + ai * vi, ai * vr - ar * vi
+            for c in range(k + 1, len(row)):
+                (er, ei), (qr, qi) = row[c], pivot_row[c]
+                row[c] = (
+                    (pr * er - pi * ei - ar * qr + ai * qi) // norm,
+                    (pr * ei + pi * er - ar * qi - ai * qr) // norm,
+                )
+        vr, vi = pivot_row[k]
+    return sign
 
 
 def commutative_reduction(M: BlockMatrix) -> list[bool | None]:
     """``commutative_reduction_check`` at every position, in row-major order.
 
-    ``det M`` is computed once for all positions.
+    ``det M`` and the Gaussian-integer rows are computed once for all
+    positions.
     """
-    det = det_by_elimination(M)
-    return [_reduction_outcome(M, i, j, det) for i in range(M.n) for j in range(M.n)]
+    rows, det = _integer_form(M)
+    return [_reduction_outcome(rows, i, j, det) for i in range(M.n) for j in range(M.n)]
 
 
 def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
@@ -514,28 +568,62 @@ def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
     other than the exact scalar one, raises ``QuasidetError``.
     """
     _check_position(M, i, j)
-    return _reduction_outcome(M, i, j, det_by_elimination(M))
+    rows, det = _integer_form(M)
+    return _reduction_outcome(rows, i, j, det)
 
 
-def _reduction_outcome(M: BlockMatrix, i: int, j: int, det: GaussianRational) -> bool | None:
-    """Position (i, j) of the reduction check, given ``det M``.
+def _integer_form(M: BlockMatrix) -> tuple[list, tuple[int, int]]:
+    """The Gaussian-integer rows ``G`` of ``M`` and ``det G``, read from
+    ``det_by_elimination``."""
+    det = det_by_elimination(M)
+    rows, scale = _integer_rows(M)
+    (det_g,), _one = scaled_to_integers([det * GaussianRational(scale)])
+    return rows, det_g
 
-    One forward elimination of the minor ``A^ij``, with ``col_j(A^ij)``
-    carried as its right-hand side, gives both sides: ``det A^ij`` from its
-    pivots and row swaps, and by back substitution the ``x`` of the pivot
-    formula.  A minor without a pivot in some column is singular: vacuous.
+
+def _reduction_outcome(rows: list, i: int, j: int, det: tuple[int, int]) -> bool | None:
+    """Position (i, j) of the reduction check, given the Gaussian-integer
+    rows ``G`` of ``A`` and ``det G``.
+
+    The row scales cancel: with ``x`` solving ``G^ij x = g_j``, the column
+    ``j`` of ``G`` without row ``i``, the check reads
+    ``det G^ij (g_ij - sum_c g_ic x_c) == (-1)^(i+j) det G``.  One
+    ``_fraction_free`` of ``[G^ij | g_j]`` gives the sign ``s`` and the last
+    pivot ``D``, with ``det G^ij = s D``; fraction-free back substitution
+    gives ``y = D x``, whose entries are minors of ``G`` and so Gaussian
+    integers.  Both sides are then compared as integers:
+    ``s (g_ij D - sum_c g_ic y_c)``.  A minor without a pivot in some column
+    is singular: vacuous.  For n = 1 the minor is empty, ``s = D = 1``.
     """
-    car = M.carrier
-    work = [[e for c, e in enumerate(row) if c != j] for r, row in enumerate(M.rows) if r != i]
-    col = [[row[j]] for r, row in enumerate(M.rows) if r != i]
-    try:
-        pivot_invs, swaps = _eliminate(car, work, col)
-    except ZeroDivisionError:
+    work = [row[:j] + row[j + 1:] + row[j : j + 1] for row in rows[:i] + rows[i + 1:]]
+    sign = _fraction_free(work)
+    if not sign:
         return None
-    expected = det * _pivot_det(car, work, swaps).inverse()
+    m = len(work)
+    d = work[-1][-2] if m else (1, 0)
+    y = [None] * m
+    for k in reversed(range(m)):
+        # u_kk y_k = D b_k - sum_{c > k} u_kc y_c, divided exactly
+        row = work[k]
+        sr, si = _residual(d, row[m], row[k + 1 : m], y[k + 1 :])
+        pr, pi = row[k]
+        norm = pr * pr + pi * pi
+        y[k] = ((sr * pr + si * pi) // norm, (si * pr - sr * pi) // norm)
+    row = rows[i]
+    sr, si = _residual(d, row[j], row[:j] + row[j + 1:], y)
     if (i + j) % 2:
-        expected = -expected
-    return _pivot_formula(M, i, j, _back_substitute(car, work, col, pivot_invs)) == expected
+        sign = -sign
+    return (sign * sr, sign * si) == det
+
+
+def _residual(d: tuple[int, int], b: tuple[int, int], us: list, ys: list) -> tuple[int, int]:
+    """``d b - sum_c u_c y_c`` over Gaussian-integer pairs."""
+    (dr, di), (br, bi) = d, b
+    sr, si = dr * br - di * bi, dr * bi + di * br
+    for (ur, ui), (yr, yi) in zip(us, ys):
+        sr -= ur * yr - ui * yi
+        si -= ur * yi + ui * yr
+    return sr, si
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,26 @@ def test_criterion_5_commutative_reduction():
 
 
 def test_criterion_5_computes_det_once_per_matrix(monkeypatch):
-    # 200 matrices: one det A each, and one elimination per position, whose
-    # minor gives both its determinant and the pivot-formula value
-    dets, eliminations = [], []
-    det, eliminate = quasidet.det_by_elimination, quasidet._eliminate
+    # 200 matrices: one det A each, and one fraction-free elimination per
+    # position, whose minor gives both its determinant and the pivot-formula
+    # value; no rational elimination at all
+    dets, fraction_free, eliminations = [], [], []
+    det, kernel, eliminate = quasidet.det_by_elimination, quasidet._fraction_free, quasidet._eliminate
     monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: dets.append(M.n) or det(M))
+    monkeypatch.setattr(quasidet, "_fraction_free", lambda rows: fraction_free.append(len(rows)) or kernel(rows))
     monkeypatch.setattr(
         quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
     )
     result = acceptance.criterion_5_commutative_reduction()
     assert (result["positions_checked"], result["positions_vacuous"], result["failures"]) == (2012, 3, 0)
     assert len(dets) == 200
-    assert len(eliminations) == 200 + 2012 + 3
+    assert len(fraction_free) == 200 + 2012 + 3
+    assert eliminations == []
 
 
 def test_criterion_5_seeded_sweep():
     vacuous = 0
-    for seed in range(1, 6):
+    for seed in range(1, 11):
         result = acceptance.criterion_5_commutative_reduction(seed)
         assert (result["pass"], result["failures"]) == (True, 0), result
         vacuous += result["positions_vacuous"]

@@ -185,12 +185,14 @@ def test_quasidet_exact_entry_beyond_float_range(tmp_path, capsys):
 
 def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypatch):
     # one det A for the check; checking position by position would compute
-    # it again at each of the n^2 positions.  Eliminations: one for the
-    # inverse, one for det A and one per minor, which gives both the minor's
-    # determinant and the pivot-formula value.
-    dets, eliminations = [], []
-    det, eliminate = quasidet.det_by_elimination, quasidet._eliminate
+    # it again at each of the n^2 positions.  Fraction-free eliminations: one
+    # for det A and one per minor, which gives both the minor's determinant
+    # and the pivot-formula value.  The rational elimination serves only the
+    # inverse.
+    dets, fraction_free, eliminations = [], [], []
+    det, kernel, eliminate = quasidet.det_by_elimination, quasidet._fraction_free, quasidet._eliminate
     monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: dets.append(M.n) or det(M))
+    monkeypatch.setattr(quasidet, "_fraction_free", lambda rows: fraction_free.append(len(rows)) or kernel(rows))
     monkeypatch.setattr(
         quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
     )
@@ -205,7 +207,8 @@ def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypat
     assert code == 0
     assert json.loads(out)["commutative_reduction"] == {f"{i},{j}": True for i in range(4) for j in range(4)}
     assert dets == [4]
-    assert sorted(eliminations) == [3] * 16 + [4, 4]
+    assert sorted(fraction_free) == [3] * 16 + [4]
+    assert eliminations == [4]
 
 
 def test_quasidet_has_no_carrier_flag(capsys):

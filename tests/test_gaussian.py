@@ -1,13 +1,13 @@
 """The integer-triple ``GaussianRational`` against a ``Fraction``-pair oracle."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpii.gaussian import GaussianRational
+from qpii.gaussian import GaussianRational, scaled_to_integers
 
 
 class FractionPairGaussian:
@@ -112,6 +112,16 @@ def test_arithmetic_matches_fraction_pair_oracle(x, y, n):
         _assert_matches(g**n, o**n)
     assert g.is_one() == (o.re == 1 and o.im == 0)
     assert (g == h) == ((o.re, o.im) == (p.re, p.im))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(values=st.lists(_PAIRS, min_size=1, max_size=7))
+def test_scaled_to_integers_matches_fraction_pair_oracle(values):
+    pairs, scale = scaled_to_integers([GaussianRational(*v) for v in values])
+    oracle = [FractionPairGaussian(*v) for v in values]
+    assert scale == lcm(*(f.denominator for o in oracle for f in (o.re, o.im)))
+    assert pairs == [(o.re * scale, o.im * scale) for o in oracle]
+    assert all(type(x) is int for pair in pairs for x in pair)
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qpii.gaussian import gauss
+from qpii.gaussian import gauss, scaled_to_integers
 from qpii.quasidet import (
     BlockMatrix,
     ComplexMatrixCarrier,
@@ -15,7 +17,9 @@ from qpii.quasidet import (
     NonInvertibleMinor,
     QuasidetError,
     SINGULARITY_TOL,
+    _eliminate,
     _gauss_jordan,
+    _integer_rows,
     _reduction_outcome,
     _solve,
     all_quasideterminants,
@@ -757,12 +761,76 @@ def test_reduction_check_vacuous_on_singular_minor():
     assert commutative_reduction(M)[8] is None
 
 
+def det_by_rational_elimination_reference(M):
+    """Test oracle: the determinant from the pivots and row swaps of the
+    rational ``_eliminate``, one sign flip per swap, zero when a column has
+    no nonzero candidate.  ``det_by_elimination`` must agree with it."""
+    work = [row[:] for row in M.rows]
+    try:
+        _pivot_invs, swaps = _eliminate(EXACT, work, [[] for _ in work])
+    except ZeroDivisionError:
+        return gauss(0)
+    det = gauss(1)
+    for k, row in enumerate(work):
+        det = det * row[k]
+    return -det if swaps % 2 else det
+
+
+# distinct primes near 10^6, so the lcm of a row's denominators grows with n
+_PRIME_DENOMINATORS = (999863, 999883, 999907, 999917, 999931, 999953, 999959, 999961, 999979, 999983)
+_NUMERATORS = st.one_of(st.just(0), st.integers(-6, 6), st.integers(-(10**400), 10**400))
+_DENOMINATORS = st.one_of(st.integers(1, 4), st.sampled_from(_PRIME_DENOMINATORS), st.integers(1, 10**6))
+_ENTRIES = st.one_of(
+    st.just(gauss(0)),
+    st.builds(
+        lambda a, b, c, d: gauss(Fraction(a, c), Fraction(b, d)),
+        _NUMERATORS, _NUMERATORS, _DENOMINATORS, _DENOMINATORS,
+    ),
+)
+
+
+@st.composite
+def kernel_cases(draw):
+    """An exact n x n matrix, n = 1..7, as drawn, singular (for n >= 2 the
+    last row a combination of the first and the next-to-last), or with zero
+    leading entries that force a row swap; and whether it is singular by
+    construction."""
+    n = draw(st.integers(1, 7))
+    rows = draw(st.lists(st.lists(_ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("drawn", "singular", "zero_lead")))
+    if shape == "singular" and n >= 2:
+        a, b = draw(_ENTRIES), draw(_ENTRIES)
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[-2])]
+    elif shape == "zero_lead":
+        for row in rows[: max(1, n - 1)]:
+            row[0] = gauss(0)
+    return BlockMatrix(EXACT, rows), shape == "singular" and n >= 2
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(case=kernel_cases())
+def test_det_by_elimination_matches_rational_reference(case):
+    M, singular = case
+    det = det_by_elimination(M)
+    assert det == det_by_rational_elimination_reference(M)
+    if singular:
+        assert det.is_zero()
+
+
+def integer_det(det, scale):
+    """``det A`` as ``det G = det A * scale``, a Gaussian-integer pair."""
+    (pair,), one = scaled_to_integers([det * gauss(scale)])
+    assert one == 1
+    return pair
+
+
 def reduction_outcome_reference(M, i, j, det):
-    """Test oracle: position (i, j) of the reduction check by two eliminations
-    of the minor, ``det_by_elimination`` for ``det A^ij`` and the solve inside
-    ``quasideterminant_expand`` for the pivot formula.  ``_reduction_outcome``
-    must return the same outcome from one."""
-    det_minor = det_by_elimination(M.minor(i, j)) if M.n > 1 else M.carrier.one()
+    """Test oracle: position (i, j) of the reduction check by two rational
+    eliminations of the minor, ``det_by_rational_elimination_reference`` for
+    ``det A^ij`` and the solve inside ``quasideterminant_expand`` for the
+    pivot formula.  ``_reduction_outcome`` must return the same outcome from
+    one fraction-free elimination."""
+    det_minor = det_by_rational_elimination_reference(M.minor(i, j)) if M.n > 1 else M.carrier.one()
     if det_minor.is_zero():
         return None
     expected = det * det_minor.inverse()
@@ -791,10 +859,12 @@ def reduction_cases():
 def test_reduction_outcome_matches_two_elimination_reference():
     outcomes = []
     for M in reduction_cases():
-        det = det_by_elimination(M)
+        det = det_by_rational_elimination_reference(M)
+        assert det_by_elimination(M) == det
+        rows, scale = _integer_rows(M)
         for i in range(M.n):
             for j in range(M.n):
-                got = _reduction_outcome(M, i, j, det)
+                got = _reduction_outcome(rows, i, j, integer_det(det, scale))
                 assert got is reduction_outcome_reference(M, i, j, det), (M.rows, i, j)
                 outcomes.append(got)
     assert set(outcomes) == {True, None}
@@ -804,10 +874,11 @@ def test_reduction_outcome_matches_two_elimination_reference():
 def test_reduction_outcome_reads_a_wrong_det_as_false():
     live = 0
     for M in reduction_cases():
-        wrong = det_by_elimination(M) + gauss(1)
+        wrong = det_by_rational_elimination_reference(M) + gauss(1)
+        rows, scale = _integer_rows(M)
         for i in range(M.n):
             for j in range(M.n):
-                got = _reduction_outcome(M, i, j, wrong)
+                got = _reduction_outcome(rows, i, j, integer_det(wrong, scale))
                 assert got is reduction_outcome_reference(M, i, j, wrong)
                 assert got is not True
                 live += got is False
