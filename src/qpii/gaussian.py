@@ -6,8 +6,9 @@ canonical form: ``den > 0`` and ``gcd(a, b, den) == 1``, so zero is
 operation builds its result with integer arithmetic and one gcd; ``+`` and
 ``-`` of equal denominators skip the cross products.  ``re`` and ``im`` are
 ``Fraction`` views built on demand, and ``hash`` agrees with
-``hash((re, im))``.  ``scaled_to_integers`` reads values for integer
-kernels: Gaussian-integer ``(re, im)`` int pairs over a common scale.
+``hash((re, im))``; ``str`` and ``parse`` work on the ints alone.
+``scaled_to_integers`` reads values for integer kernels: Gaussian-integer
+``(re, im)`` int pairs over a common scale.
 """
 
 from __future__ import annotations
@@ -18,6 +19,18 @@ from math import gcd, lcm
 
 _GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?$")
 _PURE_IM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)i$")
+
+
+def _ratio(text: str) -> tuple[int, int]:
+    """``p/q`` or ``p`` as the int pair ``(p, q)``."""
+    p, _, q = text.partition("/")
+    return int(p), int(q or 1)
+
+
+def _ratio_text(n: int, den: int) -> str:
+    """``n/den`` in lowest terms, as ``str(Fraction(n, den))`` writes it."""
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
 
 
 def _reduced(a: int, b: int, den: int) -> "GaussianRational":
@@ -67,13 +80,16 @@ class GaussianRational:
         s = text.strip().replace(" ", "")
         m = _PURE_IM_RE.match(s)
         if m:
-            return cls(0, Fraction(m.group(1)))
-        m = _GAUSS_RE.match(s)
-        if m is None:
-            raise ValueError(f"not a Gaussian rational: {text!r}")
-        re_part = Fraction(m.group(1))
-        im_part = Fraction(m.group(2)) if m.group(2) else Fraction(0)
-        return cls(re_part, im_part)
+            re_text, im_text = "0", m.group(1)
+        else:
+            m = _GAUSS_RE.match(s)
+            if m is None:
+                raise ValueError(f"not a Gaussian rational: {text!r}")
+            re_text, im_text = m.group(1), m.group(2) or "0"
+        (p, q), (r, t) = _ratio(re_text), _ratio(im_text)
+        if q * t == 0:
+            raise ZeroDivisionError(f"zero denominator in {text!r}")
+        return _reduced(p * t, r * q, q * t)
 
     # -- predicates ----------------------------------------------------
 
@@ -146,9 +162,8 @@ class GaussianRational:
         return complex(a / den, b / den)
 
     def __str__(self) -> str:
-        re_, im = self.re, self.im
-        sign = "+" if im >= 0 else "-"
-        return f"{re_}{sign}{abs(im)}i"
+        a, b, den = self._t
+        return f"{_ratio_text(a, den)}{'-' if b < 0 else '+'}{_ratio_text(abs(b), den)}i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 from . import QpiiError
@@ -255,8 +256,12 @@ class NCPolynomial:
 
     def terms(self):
         """Iterate ``((word, exps), gaussian)`` pairs in canonical order."""
-        key = self.algebra.word_key
-        return sorted(self._terms.items(), key=lambda kv: (key(kv[0][0]), kv[0][1]))
+        rank = self.algebra._rank.__getitem__
+        # the flat (length, ranks, exps) orders as (word_key(word), exps)
+        return sorted(
+            self._terms.items(),
+            key=lambda kv: (len(kv[0][0]), tuple(map(rank, kv[0][0])), kv[0][1]),
+        )
 
     def words(self) -> list[Word]:
         seen = []
@@ -295,11 +300,14 @@ class NCPolynomial:
             return self.scale(gauss(other))
         if not isinstance(other, NCPolynomial):
             return NotImplemented
+        # sums that cancel stay in acc as zeros; the constructor drops them
         acc: dict = {}
+        get = acc.get
         for (w1, e1), g1 in self._terms.items():
             for (w2, e2), g2 in other._terms.items():
-                key = (w1 + w2, tuple(a + b for a, b in zip(e1, e2)))
-                _merge(acc, key, g1 * g2)
+                key = (w1 + w2, tuple(map(add, e1, e2)))
+                cur = get(key)
+                acc[key] = g1 * g2 if cur is None else cur + g1 * g2
         return NCPolynomial(self.algebra, acc)
 
     def __rmul__(self, other) -> "NCPolynomial":

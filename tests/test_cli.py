@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -48,6 +49,25 @@ def test_derive_symmetric(capsys):
     doc = json.loads(out)
     assert doc["value"] == "(4+0i) h^1 l^1"
     assert doc["report"]["matches_table"] is False
+
+
+# sha256 of each derive report's stdout, recorded before the symbolic
+# engine's speed-ups, which must leave every byte alone
+DERIVE_SHA256 = {
+    ("json", "qpii"): "24783bf918c310682ba8f942f23e77abd4a06221e84e6fee1ccc015ebdee5dd3",
+    ("json", "riccati"): "e408ab581e48d05ab0ee5fb8c779c29a6bb8a410d220d13bd0e45c17e7b561b1",
+    ("json", "symmetric"): "74c1887d82eaa630711d9c058b1df923f4154af87324794073d66185d51a1ecc",
+    ("text", "qpii"): "34581b57804221a172bf63f0eb8d9c9c8fd79bef12104a6856d8c86f409e2986",
+    ("text", "riccati"): "6218c7c0df37b344967af56a8cbd5cc8c4e2cb92c81788e4aa9ffa90ff5d4593",
+    ("text", "symmetric"): "76611736f6329c98874efb2db7277324b39eef87ccc02e4a88c5c9472b6a8516",
+}
+
+
+@pytest.mark.parametrize("fmt, target", sorted(DERIVE_SHA256))
+def test_derive_reports_are_pinned(fmt, target, capsys):
+    code, out, err = run_main(["--format", fmt, "derive", target], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_SHA256[fmt, target]
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -125,6 +145,8 @@ def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
             "every matrix block must be 2x2 like the first",
         ),
         ('[["1/0"]]', "cannot parse exact entry '1/0'"),
+        ('[["2-1/0i"]]', "cannot parse exact entry '2-1/0i'"),
+        ('[["x/0"]]', "cannot parse exact entry 'x/0'"),
         ("[[[[NaN]]]]", "matrix block entries must be finite"),
         ("[[[0.1, 0]]]", "cannot parse exact entry [0.1, 0]"),
         ("[[true]]", "cannot parse exact entry True"),
@@ -139,7 +161,8 @@ def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
         ('"[[\\"2\\"]]"', "matrix document must be a non-empty array of arrays"),
         ('"x"', "matrix document must be a non-empty array of arrays"),
     ],
-    ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator", "nan",
+    ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator",
+         "zero-imaginary-denominator", "word-over-zero", "nan",
          "float-in-pair", "bool", "bool-in-pair", "float-im", "exponent-string-in-pair",
          "word-in-pair", "word", "block-int-beyond-float-range", "bool-in-block",
          "bool-in-block-pair", "string-document-of-matrix-text", "string-document"],

@@ -1,5 +1,6 @@
 """The integer-triple ``GaussianRational`` against a ``Fraction``-pair oracle."""
 
+import re
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -147,3 +148,58 @@ def test_setting_an_attribute_raises(name):
     with pytest.raises(AttributeError):
         setattr(g, name, 0)
     assert g._t == (1, 2, 1)
+
+
+_ORACLE_GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?$")
+_ORACLE_PURE_IM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)i$")
+
+
+def fraction_parse(text):
+    """Test oracle: ``GaussianRational.parse`` through ``Fraction`` parts."""
+    s = text.strip().replace(" ", "")
+    m = _ORACLE_PURE_IM_RE.match(s)
+    if m:
+        return FractionPairGaussian(0, Fraction(m.group(1)))
+    m = _ORACLE_GAUSS_RE.match(s)
+    if m is None:
+        raise ValueError(f"not a Gaussian rational: {text!r}")
+    return FractionPairGaussian(Fraction(m.group(1)), Fraction(m.group(2) or 0))
+
+
+_DIGITS = st.one_of(
+    st.text("0123456789", min_size=1, max_size=4),
+    st.integers(10**399, 10**400 - 1).map(str),
+    st.builds("0{}".format, st.text("0123456789", min_size=1, max_size=3)),
+)
+_PART_TEXT = st.builds(
+    "{}{}{}".format,
+    st.sampled_from(("", "+", "-")),
+    _DIGITS,
+    st.one_of(st.just(""), st.builds("/{}".format, _DIGITS), st.just("/0")),
+)
+_GAUSS_TEXT = st.one_of(
+    _PART_TEXT,
+    st.builds("{}i".format, _PART_TEXT),
+    st.builds("{}{}i".format, _PART_TEXT, _PART_TEXT),
+    st.builds(" {} {} i ".format, _PART_TEXT, _PART_TEXT),
+    st.sampled_from(("-0/5", "0/007", "x/0", "1/0i", "2-1/0i", "", "i", "1+i", "1/2/3", "1.5",
+                     f"-{'7' * 400}/{'3' * 400}+0{'6' * 400}/{'9' * 400}i")),
+    st.text("0123456789+-/ix .", max_size=10),
+)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=_GAUSS_TEXT)
+def test_parse_matches_fraction_parsing(text):
+    try:
+        want = fraction_parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        with pytest.raises(type(exc)):
+            GaussianRational.parse(text)
+        return
+    # not _assert_matches: complex() of a 400-digit part overflows
+    got = GaussianRational.parse(text)
+    a, b, den = got._t
+    assert den > 0 and gcd(a, b, den) == 1
+    assert (got.re, got.im) == (want.re, want.im)
+    assert str(got) == str(want)

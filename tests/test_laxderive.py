@@ -8,6 +8,7 @@ cross-check each other term by term.
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,6 +244,27 @@ def test_residual_rejects_eigenfunction_generators(alg, bad_side):
     args = (bad, B) if bad_side == "A" else (A, bad)
     with pytest.raises(LaxEntryError, match="chi"):
         zero_curvature_residual(*args)
+
+
+def test_derive_qpii_computes_each_curvature_part_once(alg, monkeypatch):
+    # the report steps V1-V3 and the residual share one computation, and the
+    # residual stays one call the benchmark's tracer can time
+    import qpii.laxderive as lax
+
+    calls = Counter()
+    names = ("matrix_grid_derivative", "matrix_commutator", "zero_curvature_residual",
+             "default_derivation_table")
+    for name in names:
+        def counted(*args, _name=name, _inner=getattr(lax, name), **kwargs):
+            calls[_name] += 1
+            return _inner(*args, **kwargs)
+
+        monkeypatch.setattr(lax, name, counted)
+    report = derive_qpii(alg).report
+    assert calls == {name: 1 for name in names}
+    monkeypatch.undo()
+    residual = next(s.after for s in report.steps if s.anchor == "RM1")
+    assert residual == zero_curvature_residual(*build_lax(alg)).to_text_dict()
 
 
 _BAD_ENTRY_MESSAGE = """

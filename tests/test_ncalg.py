@@ -10,6 +10,7 @@ from qpii.ncalg import (
     DEFAULT_ALPHABET,
     CentralSubstitutionError,
     DerivationError,
+    NCPolynomial,
     RewriteRule,
     RewriteSystem,
     RuleOrientationError,
@@ -311,6 +312,50 @@ def test_classical_limit_is_idempotent_ring_morphism(p_terms, q_terms):
     assert cl(cl(p)) == cl(p)
     assert cl(p + q) == cl(p) + cl(q)
     assert cl(p * q) == cl(cl(p) * cl(q))
+
+
+def _merging_product(p, q):
+    """Test oracle: the free product term by term, dropping each cancelled sum."""
+    acc = {}
+    for (w1, e1), g1 in p._terms.items():
+        for (w2, e2), g2 in q._terms.items():
+            key = (w1 + w2, tuple(a + b for a, b in zip(e1, e2)))
+            s = acc[key] + g1 * g2 if key in acc else g1 * g2
+            if s.is_zero():
+                del acc[key]
+            else:
+                acc[key] = s
+    return acc
+
+
+_SHORT_WORDS = st.lists(st.sampled_from(("f2", "z")), max_size=2).map(tuple)
+_EXPS = st.tuples(st.integers(0, 1), st.just(0), st.integers(-1, 1))
+_SMALL = st.builds(gauss, st.integers(-2, 2), st.integers(-1, 1))
+_PRODUCT_TERMS = st.dictionaries(st.tuples(_SHORT_WORDS, _EXPS), _SMALL, max_size=4)
+
+
+@st.composite
+def _cancelling_factors(draw):
+    """p = a X + b X u and q = c u Y + d Y with a c + b d = 0, so the two
+    products that make X u Y cancel, each with a few more random terms."""
+    x, y = draw(_SHORT_WORDS), draw(_SHORT_WORDS)
+    u = tuple(draw(st.lists(st.sampled_from(("f2", "z")), min_size=1, max_size=2)))
+    e, f = draw(_EXPS), draw(_EXPS)
+    a, b, c = (draw(st.sampled_from((gauss(1), gauss(-2), gauss(0, 1), gauss(1, -1))))
+               for _ in range(3))
+    p = {(x, e): a, (x + u, e): b}
+    q = {(u + y, f): c, (y, f): -(a * c) / b}
+    return {**draw(_PRODUCT_TERMS), **p}, {**draw(_PRODUCT_TERMS), **q}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(factors=st.one_of(st.tuples(_PRODUCT_TERMS, _PRODUCT_TERMS), _cancelling_factors()))
+def test_product_matches_merging_oracle(factors):
+    alg = default_algebra()
+    p, q = (NCPolynomial(alg, terms) for terms in factors)
+    got = p * q
+    assert got._terms == _merging_product(p, q)
+    assert not any(g.is_zero() for g in got._terms.values())
 
 
 # -- substitutions -----------------------------------------------------------
