@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import QpiiError
-from .quasidet import all_quasideterminants, load_matrix_json
+from .quasidet import QuasidetError, all_quasideterminants, load_matrix_json
 # jsonable is not called here, but the benchmark tracer wraps qpii.cli.jsonable
 from .reportio import dumps, jsonable, render_text  # noqa: F401
 
@@ -103,9 +103,18 @@ def _run_derive(target: str) -> dict:
     return {"command": "derive symmetric", "value": report["lemma_value"], "report": report}
 
 
+def _load_document(path: str, error: type[QpiiError]):
+    """The decoded JSON document at ``path``; one nested too deeply for the
+    decoder raises ``error`` rather than ``RecursionError``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise error("document nests too deeply to decode") from exc
+
+
 def _run_quasidet(args) -> dict:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_document(args.input, QuasidetError)
     matrix = load_matrix_json(doc)
     carrier_name = type(matrix.carrier).__name__
     if args.position:
@@ -138,8 +147,7 @@ def _run_quasidet(args) -> dict:
 def _run_darboux(args) -> dict:
     from . import darboux as dbx
 
-    with open(args.config, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _load_document(args.config, dbx.ConfigError)
     config = dbx.DarbouxConfig.from_json(doc)
     report = dbx.run_config(config)
     report["command"] = "darboux"

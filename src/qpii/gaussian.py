@@ -17,8 +17,8 @@ import re
 from fractions import Fraction
 from math import gcd, lcm
 
-_GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?$")
-_PURE_IM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)i$")
+_GAUSS_RE = re.compile(r"^([+-]?[0-9]+(?:/[0-9]+)?)(?:([+-][0-9]+(?:/[0-9]+)?)i)?$")
+_PURE_IM_RE = re.compile(r"^([+-]?[0-9]+(?:/[0-9]+)?)i$")
 
 
 def _ratio(text: str) -> tuple[int, int]:
@@ -76,8 +76,9 @@ class GaussianRational:
 
     @classmethod
     def parse(cls, text: str) -> "GaussianRational":
-        """Parse strings like ``3/4``, ``-2i``, ``3/4+1/2i``, ``1-2i``."""
-        s = text.strip().replace(" ", "")
+        """Parse strings like ``3/4``, ``-2i``, ``3/4+1/2i``, ``1-2i``: ASCII
+        digits, with white space allowed only at the ends."""
+        s = text.strip()
         m = _PURE_IM_RE.match(s)
         if m:
             re_text, im_text = "0", m.group(1)

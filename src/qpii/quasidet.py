@@ -41,6 +41,12 @@ the inverse entry exists, and over a commutative carrier it reduces to
   ``det A^ij`` and the pivot-formula value as Gaussian integers; ``det A``
   comes from ``det_by_elimination``, once for every position in
   ``commutative_reduction``.
+* ``load_matrix_json`` reads a well-formed block document, ``n x n``
+  blocks of ``[re, im]`` pairs or of numbers, in one array pass, and the
+  pairs become complex values through a view of the float array, so signed
+  zeros are kept.  Any other document goes through the per-scalar parsers,
+  ``parse_complex_block`` and ``_parse_exact``, the one source of its error
+  messages.
 
 Indices are 0-based throughout.
 """
@@ -636,9 +642,10 @@ def load_matrix_json(doc) -> BlockMatrix:
 
     The first entry settles the carrier.  If it is an array of arrays, every
     entry is a square block of [re, im] pairs or numbers (not booleans), all
-    of the first block's size, over the matrix carrier.  Otherwise every
-    entry is an exact scalar: an integer, a Gaussian-rational string, or an
-    [re, im] pair.
+    of the first block's size, over the matrix carrier; a well-formed
+    document is read as one array, whose blocks the rows hold as views.
+    Otherwise every entry is an exact scalar: an integer, a Gaussian-rational
+    string, or an [re, im] pair.
     """
     if (
         not isinstance(doc, list)
@@ -650,6 +657,9 @@ def load_matrix_json(doc) -> BlockMatrix:
     if not (isinstance(first, list) and first and isinstance(first[0], list)):
         rows = [[_parse_exact(e) for e in row] for row in doc]
         return BlockMatrix(ExactScalarCarrier(), rows)
+    blocks = _block_array(doc)
+    if blocks is not None:
+        return BlockMatrix(ComplexMatrixCarrier(blocks.shape[2]), blocks)
     blocks = [[parse_complex_block(e) for e in row] for row in doc]
     dim = blocks[0][0].shape[0]
     if any(b.shape != (dim, dim) for row in blocks for b in row):
@@ -657,7 +667,39 @@ def load_matrix_json(doc) -> BlockMatrix:
     return BlockMatrix(ComplexMatrixCarrier(dim), blocks)
 
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?")
+def _block_array(doc) -> np.ndarray | None:
+    """The ``(n, n, d, d)`` complex array of a well-formed block document, in
+    one array pass, or None.
+
+    Well-formed is ``(n, n, d, d, 2)`` of ``[re, im]`` pairs or
+    ``(n, n, d, d)`` of numbers, every leaf an int or a float (numpy would
+    take a boolean or a numeric string without a word), finite as a float.
+    The pairs become complex values through a view of the float array, so
+    the bits of each part, signed zeros included, are those that
+    ``complex(re, im)`` gives.  Anything else reads None and goes to the
+    per-scalar parser, the one source of error messages.
+    """
+    import numpy as np
+
+    obj = np.array(doc, dtype=object)
+    shape = obj.shape
+    pairs = obj.ndim == 5 and shape[4] == 2
+    if not (pairs or obj.ndim == 4) or shape[0] != shape[1] or shape[2] != shape[3]:
+        return None
+    if not set(map(type, obj.ravel().tolist())) <= {int, float}:
+        return None
+    try:
+        values = obj.astype(np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(values).all():
+        return None
+    if pairs:
+        return values.view(np.complex128).reshape(shape[:4])
+    return values.astype(np.complex128)
+
+
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def _parse_exact(e) -> GaussianRational:

@@ -23,8 +23,13 @@ def jsonable(obj):
     if isinstance(obj, list):
         return [jsonable(v) for v in obj]
     # numpy scalars and arrays, told by their module so that numpy need not
-    # be imported; tolist gives the Python scalar or nested lists of them
+    # be imported; tolist gives the Python scalar or nested lists of them.  A
+    # complex array becomes its [re, im] pairs through one float view, with
+    # no call per entry; a 0-d one has no such view and takes the scalar path.
     if type(obj).__module__ == "numpy":
+        if obj.ndim and obj.dtype.kind == "c":
+            pairs = obj.astype("c16", order="C", copy=False).view("f8")
+            return pairs.reshape(*obj.shape, 2).tolist()
         return jsonable(obj.tolist())
     if isinstance(obj, complex):
         return [obj.real, obj.imag]

@@ -70,6 +70,28 @@ def test_derive_reports_are_pinned(fmt, target, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == DERIVE_SHA256[fmt, target]
 
 
+# The complex-block reports, recorded before block documents were read as one
+# array; a signed zero must come out as it went in.
+SIGNED_ZERO_BLOCKS = "[[[[[-0.0, 1.0], [0.0, -0.0]], [[1.0, -0.0], [-0.0, 0.0]]]]]"
+BLOCK_SHA256 = {
+    ("json", "sample_blocks.json"): "80005e4de50924bb02293e234f3a6eb64021e603b0546c99912c13de93925ffa",
+    ("json", "signed_zero.json"): "da0a25822f1acae99831402b078108dbd2a82116227eb3f8492bbf3d0088c52d",
+    ("text", "sample_blocks.json"): "225e1348119f04f6104db691dffc1298c9637c3c5ee09eef79014479ba0dc6e7",
+    ("text", "signed_zero.json"): "d6078e0afe972aca1caa16d08877bc3e6e204c0046b5662d33c7bdb2b57e0b78",
+}
+
+
+@pytest.mark.parametrize("fmt, name", sorted(BLOCK_SHA256))
+def test_block_reports_are_pinned(fmt, name, tmp_path, monkeypatch, capsys):
+    # the report echoes the input path, so it is given relative to the cwd
+    (tmp_path / "sample_blocks.json").write_bytes((CONFIGS / "sample_blocks.json").read_bytes())
+    (tmp_path / "signed_zero.json").write_text(SIGNED_ZERO_BLOCKS)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["--format", fmt, "quasidet", "--input", name], capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == BLOCK_SHA256[fmt, name]
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -160,12 +182,16 @@ def test_quasidet_block_singular_minor_reports_kernel_message(tmp_path, capsys):
         ("[[[[[1, false], 0], [0, 1]]]]", "cannot parse complex scalar [1, False]"),
         ('"[[\\"2\\"]]"', "matrix document must be a non-empty array of arrays"),
         ('"x"', "matrix document must be a non-empty array of arrays"),
+        ('[["1 0", "2"], ["3", "4"]]', "cannot parse exact entry '1 0'"),
+        ('[["\\u0661\\u0662"]]', "cannot parse exact entry '\u0661\u0662'"),
+        ('[[["\\u0661", 0]]]', "cannot parse exact entry ['\u0661', 0]"),
     ],
     ids=["row-not-array", "scalar-as-block", "block-sizes-differ", "zero-denominator",
          "zero-imaginary-denominator", "word-over-zero", "nan",
          "float-in-pair", "bool", "bool-in-pair", "float-im", "exponent-string-in-pair",
          "word-in-pair", "word", "block-int-beyond-float-range", "bool-in-block",
-         "bool-in-block-pair", "string-document-of-matrix-text", "string-document"],
+         "bool-in-block-pair", "string-document-of-matrix-text", "string-document",
+         "inner-space", "non-ascii-digits", "non-ascii-digit-in-pair"],
 )
 def test_quasidet_rejects_malformed_input(tmp_path, capsys, doc, message):
     matrix = tmp_path / "bad.json"
@@ -508,6 +534,34 @@ def test_malformed_quasidet_documents_exit_1(tmp_path_factory, doc):
     error = json.loads(report.read_text())
     assert error.keys() == {"command", "error"}
     assert error["error"]["type"] == "QuasidetError"
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize(
+    "command, flag, kind",
+    [("quasidet", "--input", "QuasidetError"), ("darboux", "--config", "ConfigError")],
+)
+def test_documents_nested_too_deeply_exit_1(tmp_path, capsys, depth, command, flag, kind):
+    document = tmp_path / "deep.json"
+    document.write_text("[" * depth + "1" + "]" * depth)
+    code, out, err = run_main([command, flag, str(document)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": command,
+        "error": {"message": "document nests too deeply to decode", "type": kind},
+    }
+
+
+def test_deep_block_document_that_decodes_reports_the_scalar_grammar(tmp_path, capsys):
+    document = tmp_path / "deep.json"
+    document.write_text("[" * 500 + "1" + "]" * 500)
+    code, out, err = run_main(["quasidet", "--input", str(document)], capsys)
+    assert (code, err) == (1, "")
+    scalar = json.loads("[" * 496 + "1" + "]" * 496)
+    assert json.loads(out)["error"] == {
+        "message": f"cannot parse complex scalar {scalar!r}",
+        "type": "QuasidetError",
+    }
 
 
 def test_missing_input_file_exits_1(capsys):

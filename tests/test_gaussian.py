@@ -150,13 +150,14 @@ def test_setting_an_attribute_raises(name):
     assert g._t == (1, 2, 1)
 
 
-_ORACLE_GAUSS_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)(?:([+-]\d+(?:/\d+)?)i)?$")
-_ORACLE_PURE_IM_RE = re.compile(r"^([+-]?\d+(?:/\d+)?)i$")
+_ORACLE_GAUSS_RE = re.compile(r"^([+-]?[0-9]+(?:/[0-9]+)?)(?:([+-][0-9]+(?:/[0-9]+)?)i)?$")
+_ORACLE_PURE_IM_RE = re.compile(r"^([+-]?[0-9]+(?:/[0-9]+)?)i$")
 
 
 def fraction_parse(text):
-    """Test oracle: ``GaussianRational.parse`` through ``Fraction`` parts."""
-    s = text.strip().replace(" ", "")
+    """Test oracle: ``GaussianRational.parse`` through ``Fraction`` parts.
+    White space counts only at the ends, and digits are ASCII."""
+    s = text.strip()
     m = _ORACLE_PURE_IM_RE.match(s)
     if m:
         return FractionPairGaussian(0, Fraction(m.group(1)))
@@ -181,10 +182,11 @@ _GAUSS_TEXT = st.one_of(
     _PART_TEXT,
     st.builds("{}i".format, _PART_TEXT),
     st.builds("{}{}i".format, _PART_TEXT, _PART_TEXT),
-    st.builds(" {} {} i ".format, _PART_TEXT, _PART_TEXT),
+    st.builds(" {}{}i ".format, _PART_TEXT, _PART_TEXT),
+    st.builds("{} {}i".format, _PART_TEXT, _PART_TEXT),
     st.sampled_from(("-0/5", "0/007", "x/0", "1/0i", "2-1/0i", "", "i", "1+i", "1/2/3", "1.5",
                      f"-{'7' * 400}/{'3' * 400}+0{'6' * 400}/{'9' * 400}i")),
-    st.text("0123456789+-/ix .", max_size=10),
+    st.text("0123456789+-/ix .\u0661\u0662", max_size=10),
 )
 
 
@@ -203,3 +205,13 @@ def test_parse_matches_fraction_parsing(text):
     assert den > 0 and gcd(a, b, den) == 1
     assert (got.re, got.im) == (want.re, want.im)
     assert str(got) == str(want)
+
+
+@pytest.mark.parametrize("text", ["1 0", "1 2/3", "1/ 2", "1 +2i", "\u0661\u0662", "1+\u0662i"])
+def test_parse_rejects_inner_spaces_and_non_ascii_digits(text):
+    with pytest.raises(ValueError):
+        GaussianRational.parse(text)
+
+
+def test_parse_allows_white_space_at_the_ends():
+    assert GaussianRational.parse(" \t3/4-2i\n") == GaussianRational.parse("3/4-2i")

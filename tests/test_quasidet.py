@@ -1,12 +1,15 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qpii import quasidet
 from qpii.gaussian import gauss, scaled_to_integers
 from qpii.quasidet import (
     BlockMatrix,
@@ -978,3 +981,81 @@ def test_load_block_matrix_json():
 def test_load_rejects_bad_entries():
     with pytest.raises(Exception):
         load_matrix_json(json.loads('[["not a number"]]'))
+
+
+# -- block documents: one array pass against the per-scalar parser ------------------
+
+_FINITE_LEAF = st.one_of(
+    st.integers(-9, 9),
+    st.integers(2**53, 2**64).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0]),
+)
+# each of these makes the per-scalar parser fail
+_ODD_LEAF = st.sampled_from(
+    [True, False, "1.5", "2", 10**400, -(10**400), float("nan"), float("inf"), None]
+)
+
+
+@st.composite
+def _block_document(draw):
+    """A block document of n x n blocks of size d, in pair or bare-number
+    form, with at most one odd leaf and at most one block of another size."""
+    n, d, pairs = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.booleans())
+
+    def scalar():
+        return [draw(_FINITE_LEAF), draw(_FINITE_LEAF)] if pairs else draw(_FINITE_LEAF)
+
+    doc = [[[[scalar() for _ in range(d)] for _ in range(d)] for _ in range(n)] for _ in range(n)]
+    r, c, i, j = (draw(st.integers(0, m - 1)) for m in (n, n, d, d))
+    if draw(st.booleans()):
+        odd = draw(_ODD_LEAF)
+        if pairs:
+            doc[r][c][i][j][draw(st.integers(0, 1))] = odd
+        else:
+            doc[r][c][i][j] = odd
+    if n > 1 and draw(st.integers(0, 4)) == 0:
+        size = draw(st.sampled_from([e for e in (1, 2, 3, 4) if e != d]))
+        doc[r][c] = [[scalar() for _ in range(size)] for _ in range(size)]
+    return doc
+
+
+def _per_scalar(doc):
+    with mock.patch.object(quasidet, "_block_array", lambda doc: None):
+        return load_matrix_json(doc)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(doc=_block_document())
+def test_block_documents_load_like_the_per_scalar_parser(doc):
+    try:
+        want = _per_scalar(doc)
+    except QuasidetError as exc:
+        with pytest.raises(type(exc)) as got:
+            load_matrix_json(doc)
+        assert str(got.value) == str(exc)
+        return
+    got = load_matrix_json(doc)
+    assert (got.n, got.carrier.dim) == (want.n, want.carrier.dim)
+    for got_row, want_row in zip(got.rows, want.rows):
+        for a, b in zip(got_row, want_row):
+            assert a.dtype == b.dtype == np.complex128
+            assert a.tobytes() == b.tobytes()
+            parts_a, parts_b = a.view(np.float64), b.view(np.float64)
+            assert np.array_equal(np.signbit(parts_a), np.signbit(parts_b))
+
+
+def test_well_formed_block_documents_skip_the_scalar_parser(monkeypatch):
+    calls = []
+    parse = quasidet.parse_complex_scalar
+    monkeypatch.setattr(quasidet, "parse_complex_scalar", lambda v: calls.append(v) or parse(v))
+    sample = json.loads((Path(__file__).resolve().parents[1] / "configs/sample_blocks.json").read_text())
+    bare = [[[[1, -0.0], [2**60, 0.5]], [[0, 0], [0, 0]]], [[[0, 0], [0, 0]], [[3, 0], [0, 3]]]]
+    for doc in (sample, bare):
+        M = load_matrix_json(doc)
+        assert M.carrier.dim == 2
+        # the rows hold views into one array
+        assert len({id(e.base) for row in M.rows for e in row}) == 1
+    assert calls == []
+    assert np.signbit(M[(0, 0)][0, 1].real) and not np.signbit(M[(0, 0)][0, 1].imag)
+    assert M[(0, 0)][1, 0] == complex(2**60)

@@ -62,6 +62,34 @@ def test_jsonable_gives_python_scalars_for_numpy_scalars():
     assert [type(v) for v in out[3]] == [float, float]
 
 
+def _jsonable_per_entry(obj):
+    """The conversion complex arrays had before the float view: ``tolist``,
+    then one ``[re, im]`` pair per Python complex."""
+    if isinstance(obj, list):
+        return [_jsonable_per_entry(v) for v in obj]
+    return [obj.real, obj.imag]
+
+
+@pytest.mark.parametrize(
+    "array",
+    [
+        np.array([[-0.0 - 0.0j, 1.5 + 0.0j], [complex(0.0, -0.0), complex(-0.0, 2.0)]]),
+        np.array([[1 + 2j, 3 - 4j], [5 + 6j, 7 - 8j]]).T,
+        np.arange(24).reshape(2, 3, 4)[:, ::2, 1:3] * (1 - 0.5j),
+        np.array([0.1 + 0.2j], dtype=np.complex64),
+        np.array([[complex("nan+infj")]]),
+        np.zeros((2, 0), dtype=np.complex128),
+        np.array(complex(1.0, -0.0)),
+    ],
+    ids=["signed-zeros", "transposed", "strided", "complex64", "non-finite", "empty", "0-d"],
+)
+def test_complex_arrays_convert_like_one_pair_per_entry(array):
+    got = jsonable(array)
+    want = _jsonable_per_entry(array.tolist())
+    assert json.dumps(got) == json.dumps(want)
+    assert [repr(v) for v in np.ravel(got)] == [repr(v) for v in np.ravel(want)]
+
+
 SINGULAR = "singular"
 
 
