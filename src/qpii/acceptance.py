@@ -4,6 +4,13 @@ Each criterion function returns a JSON-able dict with a boolean ``pass``
 plus the measured values.  The pytest gate asserts on these dicts; the CLI
 ``selftest`` subcommand serializes the combined report.  Time budgets are
 reported as booleans so that identical runs produce byte-identical reports.
+
+Criteria 1 and 3 fail on shipped reference values that the exact
+computation contradicts (README, "Acceptance status").  ``EXPECTED_FAILURES``
+pins each one, like a strict xfail, by the computed text the README quotes.
+``run_all`` lists the pins under ``expected_failures`` and every outcome
+they do not allow under ``unexpected``, which ``qpii selftest`` turns into
+exit 1.
 """
 
 from __future__ import annotations
@@ -29,6 +36,12 @@ from .quasidet import (
 from .reportio import dumps
 
 DEFAULT_SEED = 20250811
+
+# criterion id -> (field, computed text) of each documented contradiction
+EXPECTED_FAILURES = {
+    1: ("constraint_derived", "(0+1i) h^1 * f2 + (-1+0i) * f2 z + (1+0i) * z f2"),
+    3: ("derived", "(4+0i) h^1 l^1"),
+}
 
 
 def criterion_1_qpii_derivation() -> dict:
@@ -332,7 +345,32 @@ def _summary(seed: int, criteria: list[dict]) -> dict:
     }
 
 
+def unexpected_outcomes(criteria: list[dict]) -> list[str]:
+    """Each outcome that ``EXPECTED_FAILURES`` does not allow: a criterion
+    outside it that fails, or a pinned one that passes or whose computed
+    text changed."""
+    found = []
+    for criterion in criteria:
+        cid = criterion["id"]
+        if cid not in EXPECTED_FAILURES:
+            if not criterion["pass"]:
+                found.append(f"criterion {cid} fails")
+            continue
+        field, text = EXPECTED_FAILURES[cid]
+        if criterion["pass"]:
+            found.append(f"criterion {cid} passes, but is pinned as an expected failure")
+        elif criterion.get(field) != text:
+            found.append(f"criterion {cid} {field} reads {criterion.get(field)!r}, pinned {text!r}")
+    return found
+
+
 def run_all(seed: int = DEFAULT_SEED) -> dict:
-    """Run every criterion and return the combined, deterministic report."""
+    """Run every criterion and return the combined, deterministic report,
+    with the pinned expected failures and the outcomes they do not allow."""
     body = _report_body(seed)
-    return _summary(seed, body["criteria"] + [criterion_11_determinism(body)])
+    report = _summary(seed, body["criteria"] + [criterion_11_determinism(body)])
+    report["expected_failures"] = [
+        {"id": cid, "field": field, "computed": text} for cid, (field, text) in EXPECTED_FAILURES.items()
+    ]
+    report["unexpected"] = unexpected_outcomes(report["criteria"])
+    return report

@@ -4,8 +4,9 @@ Subcommands: ``derive`` (symbolic pipelines), ``quasidet`` (evaluate the
 positions of an input matrix), ``darboux`` (run a dressing config),
 ``selftest`` (acceptance suite).  JSON is the machine format; the text
 format is rendered from the same structure.  Exit codes: 0 success,
-1 computation error (a structured error report is still emitted),
-2 usage error.
+1 computation error (a structured error report is still emitted) or a
+``selftest`` outcome its pinned expected failures do not allow (the full
+report is still emitted), 2 usage error.
 """
 
 from __future__ import annotations
@@ -172,9 +173,14 @@ def main(argv: list[str] | None = None) -> int:
             report["command"] = "selftest"
             for criterion in report["criteria"]:
                 status = "PASS" if criterion["pass"] else "FAIL"
+                if not criterion["pass"] and criterion["id"] in acceptance.EXPECTED_FAILURES:
+                    status += " (expected)"
                 sys.stderr.write(
                     f"criterion {criterion['id']:>2} ({criterion['name']}): {status}\n"
                 )
+            for line in report["unexpected"]:
+                sys.stderr.write(f"unexpected: {line}\n")
+            code = 1 if report["unexpected"] else 0
     except (QpiiError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
         report = {
             "error": {"type": type(exc).__name__, "message": str(exc)},

@@ -454,7 +454,7 @@ def quasidet_solution_form(chain: DressingChain, n: int) -> GridFunction:
     of the raw eigenpairs; assembly is the same per-level sandwich as the
     recursive path, so the two routes cross-check each other.  Each level is
     computed once per chain, in order.  Over exact random data the level
-    arrays equal the recursive dressing at levels 1-5 for d <= 3 (a test runs
+    arrays equal the recursive dressing at levels 1-6 for d <= 3 (a test runs
     both routes); higher levels are compared only through the deviation.
     """
     if not (1 <= n <= chain.depth):
@@ -767,7 +767,7 @@ def run_config(config: DarbouxConfig) -> dict:
         },
         "parity_note": (
             "the level arrays equal the recursive dressing in exact arithmetic "
-            "at levels 1-5 for d <= 3, checked on seeded random Gaussian-rational "
+            "at levels 1-6 for d <= 3, checked on seeded random Gaussian-rational "
             "data; higher levels are compared only through path_deviation_max"
         ),
     }

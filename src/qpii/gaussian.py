@@ -8,7 +8,8 @@ operation builds its result with integer arithmetic and one gcd; ``+`` and
 ``Fraction`` views built on demand, and ``hash`` agrees with
 ``hash((re, im))``; ``str`` and ``parse`` work on the ints alone.
 ``scaled_to_integers`` reads values for integer kernels: Gaussian-integer
-``(re, im)`` int pairs over a common scale.
+``(re, im)`` int pairs over a common scale; ``divided_integers`` builds the
+kernels' results, such pairs over a Gaussian-integer divisor.
 """
 
 from __future__ import annotations
@@ -190,3 +191,12 @@ def scaled_to_integers(values) -> tuple[list[tuple[int, int]], int]:
     triples = [x._t for x in values]
     scale = lcm(*(den for _a, _b, den in triples))
     return [(a * (scale // den), b * (scale // den)) for a, b, den in triples], scale
+
+
+def divided_integers(pairs, den: tuple[int, int]) -> list[GaussianRational]:
+    """The Gaussian-integer ``(re, im)`` pairs divided by the nonzero Gaussian
+    integer ``den``, each with one gcd: the counterpart of ``scaled_to_integers``."""
+    # (a + b i) / (c + d i) = (a + b i)(c - d i) / (c^2 + d^2)
+    c, d = den
+    norm = c * c + d * d
+    return [_reduced(a * c + b * d, b * c - a * d, norm) for a, b in pairs]

@@ -7,14 +7,21 @@ the inverse entry exists, and over a commutative carrier it reduces to
 
 * Elimination is a carrier operation: ``car.solve(rows, rhs)`` returns
   ``X`` with ``rows X = rhs`` and ``car.invert_matrix(rows)`` the inverse.
-  Exact scalars run one rational forward elimination, ``_eliminate``,
-  which serves the solve and the inverse (a solve against the identity)
-  for every exact carrier.  Complex blocks, single or
-  stacked, are flattened into one scalar system per stack index for the
-  one Gauss-Jordan kernel, ``_gauss_jordan``, which reduces ``[A | B]``
-  for the whole stack at once.  Its work array is column-major with the
-  stack index last, and step ``k`` touches only the columns ``k..`` that
-  the rest of the elimination reads.
+  Complex blocks, single or stacked, are flattened into one scalar system
+  per stack index for the one Gauss-Jordan kernel, ``_gauss_jordan``, which
+  reduces ``[A | B]`` for the whole stack at once.  Its work array is
+  column-major with the stack index last, and step ``k`` touches only the
+  columns ``k..`` that the rest of the elimination reads.
+* Every exact value comes from one fraction-free kernel on Gaussian
+  integers.  Each row of ``[A | B]`` is scaled once by the lcm of its
+  denominators into ``(re, im)`` int pairs; ``_fraction_free`` (Bareiss
+  elimination, every update divided exactly by the previous pivot) builds
+  no rational and runs no gcd; ``_integer_back_substitution`` gives ``D X``
+  as integers, ``D`` the last pivot, and ``divided_integers`` builds each
+  entry of ``X`` with one gcd.  The exact solve and inverse,
+  ``det_by_elimination`` and the cross-check run on it.  The rational,
+  carrier-generic ``_eliminate`` and ``_solve`` serve noncommutative exact
+  carriers, such as the exact matrix carrier of the tests.
 * ``stack_matmul`` is the one product of complex blocks, single or
   stacked: a sum over the inner index of broadcast products, which for
   blocks of a few rows beats numpy's per-matrix ``@``.  The carrier's
@@ -24,23 +31,15 @@ the inverse entry exists, and over a commutative carrier it reduces to
   ``a_ij - row_i(A^ij) x`` with ``x`` the solution of
   ``A^ij x = col_j(A^ij)``, for every carrier.
 * ``inverse_characterization`` is the one reader of the inverse: one
-  ``invert_by_elimination``, whose entries ``car.invert_entries`` inverts
+  ``car.invert_matrix``, whose entries ``car.invert_entries`` inverts
   under the carrier's one singularity policy, reading None where one does
   not invert.  There ``quasideterminant_via_inverse`` raises and
   ``all_quasideterminants`` falls back to the expand path, as it does at
   every position when the whole inverse fails.
-* Determinants and the commutative cross-check run fraction-free on
-  Gaussian integers: each row of an exact matrix is scaled once by the lcm
-  of its denominators into ``(re, im)`` int pairs, and ``_fraction_free``
-  (Bareiss elimination, every update divided exactly by the previous
-  pivot) builds no rational and runs no gcd.  ``det_by_elimination``
-  reads the last pivot.
-  ``commutative_reduction_check`` compares the pivot formula with the
-  determinant ratio, exactly: one ``_fraction_free`` of each minor
-  ``[G^ij | g_j]`` and fraction-free back substitution give both
-  ``det A^ij`` and the pivot-formula value as Gaussian integers; ``det A``
-  comes from ``det_by_elimination``, once for every position in
-  ``commutative_reduction``.
+* ``commutative_reduction_check`` compares the pivot formula with the
+  determinant ratio exactly: one ``_fraction_free`` of each minor
+  ``[G^ij | g_j]`` gives both ``det A^ij`` and the pivot-formula value,
+  against ``det G``, computed once per matrix in ``commutative_reduction``.
 * ``load_matrix_json`` reads a well-formed block document, ``n x n``
   blocks of ``[re, im]`` pairs or of numbers, in one array pass, and the
   pairs become complex values through a view of the float array, so signed
@@ -54,11 +53,11 @@ Indices are 0-based throughout.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
+from math import prod
 from typing import TYPE_CHECKING, Any, Sequence
 
 from . import QpiiError
-from .gaussian import GaussianRational, gauss, scaled_to_integers
+from .gaussian import GaussianRational, divided_integers, gauss, scaled_to_integers
 
 # numpy is imported inside the functions of the complex-block carrier, so the
 # exact path (and every command that only uses it) starts without numpy
@@ -116,11 +115,16 @@ class ExactScalarCarrier:
         return [None if e.is_zero() else e.inverse() for e in entries]
 
     def solve(self, rows, rhs):
-        return _solve(self, rows, rhs)
+        """``X`` with ``rows X = rhs``: ``D X`` on the Gaussian-integer rows of
+        ``[rows | rhs]`` by the fraction-free kernel, divided by ``D``."""
+        work = [scaled_to_integers([*row, *b])[0] for row, b in zip(rows, rhs)]
+        _fraction_free(work)
+        y, d = _integer_back_substitution(work)
+        return [divided_integers(row, d) for row in y]
 
     def invert_matrix(self, rows):
         n = range(len(rows))
-        return _solve(self, rows, [[self.one() if r == c else self.zero() for c in n] for r in n])
+        return self.solve(rows, [[self.one() if r == c else self.zero() for c in n] for r in n])
 
 
 class ComplexMatrixCarrier:
@@ -310,16 +314,12 @@ class BlockMatrix:
         return self.rows[r][c]
 
     def minor(self, i: int, j: int) -> "BlockMatrix":
-        rows = [
-            [e for cc, e in enumerate(row) if cc != j]
-            for rr, row in enumerate(self.rows)
-            if rr != i
-        ]
+        rows = [row[:j] + row[j + 1:] for r, row in enumerate(self.rows) if r != i]
         return BlockMatrix(self.carrier, rows)
 
 
 # ---------------------------------------------------------------------------
-# Elimination inverse over a carrier
+# Rational elimination over a carrier
 # ---------------------------------------------------------------------------
 
 
@@ -362,11 +362,8 @@ def _eliminate(car, work: list, rhs: list) -> tuple[list, int]:
 
 
 def _solve(car, rows: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> list[list]:
-    """``X`` with ``rows X = rhs``, by ``_eliminate`` and back substitution.
-
-    ``rhs`` is a list of rows, any number of columns wide; neither argument
-    is modified.
-    """
+    """``X`` with ``rows X = rhs``, ``rhs`` a list of rows of any width, by
+    ``_eliminate`` and back substitution; neither argument is modified."""
     work = [list(row) for row in rows]
     b = [list(row) for row in rhs]
     pivot_invs, _swaps = _eliminate(car, work, b)
@@ -387,16 +384,6 @@ def _back_substitute(car, work: list, b: list, pivot_invs: list) -> list[list]:
                 acc = [sub(e, mul(u, xc)) for e, xc in zip(acc, x[c])]
         x[k] = [mul(pivot_invs[k], e) for e in acc]
     return x
-
-
-def invert_by_elimination(M: BlockMatrix) -> BlockMatrix:
-    """Inverse of a block matrix by the carrier's ``invert_matrix``.
-
-    A matrix without an inverse raises ``ZeroDivisionError``; over complex
-    blocks it carries the first singular stack index as ``index``.  Exact
-    arithmetic has no round-off, so no exact pivot is preferred by size.
-    """
-    return BlockMatrix(M.carrier, M.carrier.invert_matrix(M.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -444,10 +431,10 @@ def inverse_characterization(M: BlockMatrix) -> list:
     None where ``car.invert_entries`` does not invert the entry.  A matrix
     without an inverse raises ``NonInvertibleMatrix``."""
     try:
-        inv = invert_by_elimination(M)
+        inv = M.carrier.invert_matrix(M.rows)
     except ZeroDivisionError as exc:
         raise NonInvertibleMatrix(str(exc)) from exc
-    return M.carrier.invert_entries([e for column in zip(*inv.rows) for e in column])
+    return M.carrier.invert_entries([e for column in zip(*inv) for e in column])
 
 
 def quasideterminant_via_inverse(M: BlockMatrix, i: int, j: int):
@@ -485,16 +472,22 @@ def all_quasideterminants(M: BlockMatrix) -> dict[tuple[int, int], Any]:
 
 
 def det_by_elimination(M: BlockMatrix) -> GaussianRational:
-    """Exact determinant by ``_fraction_free`` on the Gaussian-integer rows
-    of ``M``: the last pivot, with one sign flip per row swap, divided by
-    the row scales.  A column without a nonzero candidate makes it zero.
-    """
+    """Exact determinant: ``det G`` of the Gaussian-integer rows of ``M``,
+    divided by the row scales."""
     rows, scale = _integer_rows(M)
-    sign = _fraction_free(rows)
-    if not sign:
-        return gauss(0)
+    (det,) = divided_integers([_integer_det(rows)], (scale, 0))
+    return det
+
+
+def _integer_det(rows: list) -> tuple[int, int]:
+    """``det G`` by ``_fraction_free`` in place: the last pivot, signed by the
+    row swaps, or zero when a column has no nonzero candidate."""
+    try:
+        sign = _fraction_free(rows)
+    except ZeroDivisionError:
+        return 0, 0
     a, b = rows[-1][-1]
-    return GaussianRational(Fraction(sign * a, scale), Fraction(sign * b, scale))
+    return sign * a, sign * b
 
 
 def _integer_rows(M: BlockMatrix) -> tuple[list[list[tuple[int, int]]], int]:
@@ -503,12 +496,8 @@ def _integer_rows(M: BlockMatrix) -> tuple[list[list[tuple[int, int]]], int]:
     those lcms, so ``det G = det M * product``."""
     if not isinstance(M.carrier, ExactScalarCarrier):
         raise QuasidetError("exact determinant requires the exact scalar carrier")
-    rows, scale = [], 1
-    for row in M.rows:
-        ints, row_scale = scaled_to_integers(row)
-        rows.append(ints)
-        scale *= row_scale
-    return rows, scale
+    rows, scales = zip(*map(scaled_to_integers, M.rows))
+    return list(rows), prod(scales)
 
 
 def _fraction_free(rows: list) -> int:
@@ -521,7 +510,8 @@ def _fraction_free(rows: list) -> int:
     by the previous pivot, so every entry stays a Gaussian integer and the
     pivot at ``k`` is the leading ``(k+1)``-minor of the row-permuted matrix:
     the last one is its determinant.  Entries below the diagonal are stale.
-    Returns ``(-1)^swaps``, or 0 when a column has no nonzero candidate.
+    Returns ``(-1)^swaps``; a column without a nonzero candidate raises
+    ``ZeroDivisionError`` naming it, as ``_eliminate`` does.
     """
     n = len(rows)
     sign = 1
@@ -531,7 +521,7 @@ def _fraction_free(rows: list) -> int:
             if rows[p][k] != (0, 0):
                 break
         else:
-            return 0
+            raise ZeroDivisionError(f"no invertible pivot in column {k}")
         if p != k:
             rows[k], rows[p] = rows[p], rows[k]
             sign = -sign
@@ -555,12 +545,29 @@ def _fraction_free(rows: list) -> int:
     return sign
 
 
-def commutative_reduction(M: BlockMatrix) -> list[bool | None]:
-    """``commutative_reduction_check`` at every position, in row-major order.
+def _integer_back_substitution(work: list) -> tuple[list, tuple[int, int]]:
+    """The rows of ``Y = D X`` and ``D``, where ``X`` solves the ``m`` rows
+    ``[U | B]`` that ``_fraction_free`` left in ``work`` and ``D`` is the last
+    pivot (1 for no rows): the determinant of the row-permuted matrix, so by
+    Cramer's rule ``Y`` is integral and each step
+    ``u_kk y_k = D b_k - sum_{c > k} u_kc y_c`` divides exactly."""
+    m = len(work)
+    d = work[-1][m - 1] if m else (1, 0)
+    y = [None] * m
+    for k in reversed(range(m)):
+        row = work[k]
+        pr, pi = row[k]
+        norm = pr * pr + pi * pi
+        y[k] = []
+        for c, b in enumerate(row[m:]):
+            sr, si = _residual(d, b, row[k + 1 : m], [yl[c] for yl in y[k + 1 :]])
+            y[k].append(((sr * pr + si * pi) // norm, (si * pr - sr * pi) // norm))
+    return y, d
 
-    ``det M`` and the Gaussian-integer rows are computed once for all
-    positions.
-    """
+
+def commutative_reduction(M: BlockMatrix) -> list[bool | None]:
+    """``commutative_reduction_check`` at every position, in row-major order,
+    with ``det G`` and the Gaussian-integer rows ``G`` computed once."""
     rows, det = _integer_form(M)
     return [_reduction_outcome(rows, i, j, det) for i in range(M.n) for j in range(M.n)]
 
@@ -579,12 +586,9 @@ def commutative_reduction_check(M: BlockMatrix, i: int, j: int) -> bool | None:
 
 
 def _integer_form(M: BlockMatrix) -> tuple[list, tuple[int, int]]:
-    """The Gaussian-integer rows ``G`` of ``M`` and ``det G``, read from
-    ``det_by_elimination``."""
-    det = det_by_elimination(M)
-    rows, scale = _integer_rows(M)
-    (det_g,), _one = scaled_to_integers([det * GaussianRational(scale)])
-    return rows, det_g
+    """The Gaussian-integer rows ``G`` of ``M`` and ``det G``."""
+    rows, _scale = _integer_rows(M)
+    return rows, _integer_det([row[:] for row in rows])
 
 
 def _reduction_outcome(rows: list, i: int, j: int, det: tuple[int, int]) -> bool | None:
@@ -595,28 +599,19 @@ def _reduction_outcome(rows: list, i: int, j: int, det: tuple[int, int]) -> bool
     ``j`` of ``G`` without row ``i``, the check reads
     ``det G^ij (g_ij - sum_c g_ic x_c) == (-1)^(i+j) det G``.  One
     ``_fraction_free`` of ``[G^ij | g_j]`` gives the sign ``s`` and the last
-    pivot ``D``, with ``det G^ij = s D``; fraction-free back substitution
-    gives ``y = D x``, whose entries are minors of ``G`` and so Gaussian
-    integers.  Both sides are then compared as integers:
-    ``s (g_ij D - sum_c g_ic y_c)``.  A minor without a pivot in some column
-    is singular: vacuous.  For n = 1 the minor is empty, ``s = D = 1``.
+    pivot ``D``, with ``det G^ij = s D``, and ``_integer_back_substitution``
+    ``y = D x``, so the left side is ``s (g_ij D - sum_c g_ic y_c)`` in
+    integers.  A minor without a pivot is singular: vacuous.  For n = 1 the
+    minor is empty, ``s = D = 1``.
     """
     work = [row[:j] + row[j + 1:] + row[j : j + 1] for row in rows[:i] + rows[i + 1:]]
-    sign = _fraction_free(work)
-    if not sign:
+    try:
+        sign = _fraction_free(work)
+    except ZeroDivisionError:
         return None
-    m = len(work)
-    d = work[-1][-2] if m else (1, 0)
-    y = [None] * m
-    for k in reversed(range(m)):
-        # u_kk y_k = D b_k - sum_{c > k} u_kc y_c, divided exactly
-        row = work[k]
-        sr, si = _residual(d, row[m], row[k + 1 : m], y[k + 1 :])
-        pr, pi = row[k]
-        norm = pr * pr + pi * pi
-        y[k] = ((sr * pr + si * pi) // norm, (si * pr - sr * pi) // norm)
+    y, d = _integer_back_substitution(work)
     row = rows[i]
-    sr, si = _residual(d, row[j], row[:j] + row[j + 1:], y)
+    sr, si = _residual(d, row[j], row[:j] + row[j + 1:], [yk for (yk,) in y])
     if (i + j) % 2:
         sign = -sign
     return (sign * sr, sign * si) == det

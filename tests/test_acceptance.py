@@ -81,20 +81,21 @@ def test_criterion_5_commutative_reduction():
 
 
 def test_criterion_5_computes_det_once_per_matrix(monkeypatch):
-    # 200 matrices: one det A each, and one fraction-free elimination per
-    # position, whose minor gives both its determinant and the pivot-formula
-    # value; no rational elimination at all
-    dets, fraction_free, eliminations = [], [], []
-    det, kernel, eliminate = quasidet.det_by_elimination, quasidet._fraction_free, quasidet._eliminate
-    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: dets.append(M.n) or det(M))
-    monkeypatch.setattr(quasidet, "_fraction_free", lambda rows: fraction_free.append(len(rows)) or kernel(rows))
+    # 200 matrices: one fraction-free det A each, and one fraction-free
+    # elimination per position, whose minor [A^ij | a_j] gives both its
+    # determinant and the pivot-formula value; no rational elimination at all
+    fraction_free, eliminations = [], []
+    kernel, eliminate = quasidet._fraction_free, quasidet._eliminate
+    monkeypatch.setattr(
+        quasidet, "_fraction_free", lambda rows: fraction_free.append(len(rows) - len(rows[0])) or kernel(rows)
+    )
     monkeypatch.setattr(
         quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
     )
     result = acceptance.criterion_5_commutative_reduction()
     assert (result["positions_checked"], result["positions_vacuous"], result["failures"]) == (2012, 3, 0)
-    assert len(dets) == 200
-    assert len(fraction_free) == 200 + 2012 + 3
+    # rows minus width: 0 for det A, -1 for a minor with its column
+    assert (fraction_free.count(0), fraction_free.count(-1), len(fraction_free)) == (200, 2012 + 3, 200 + 2012 + 3)
     assert eliminations == []
 
 
@@ -117,8 +118,10 @@ def test_criterion_6_inverse_characterization():
 def test_criterion_6_inverts_each_matrix_once(monkeypatch):
     # 100 matrices: one inverse each, read at all 665 positions
     calls = []
-    inverse = quasidet.invert_by_elimination
-    monkeypatch.setattr(quasidet, "invert_by_elimination", lambda M: calls.append(M.n) or inverse(M))
+    inverse = quasidet.ComplexMatrixCarrier.invert_matrix
+    monkeypatch.setattr(
+        quasidet.ComplexMatrixCarrier, "invert_matrix", lambda car, rows: calls.append(len(rows)) or inverse(car, rows)
+    )
     result = acceptance.criterion_6_inverse_characterization()
     assert result["positions_compared"] == 665
     assert len(calls) == 100
@@ -198,3 +201,6 @@ def test_suite_summary_counts(selftest_report):
     failing = {c["id"] for c in selftest_report["criteria"] if not c["pass"]}
     assert failing == {1, 3}
     assert selftest_report["passed"] == selftest_report["total"] - 2
+    # both fail with the computed texts they are pinned by, so selftest exits 0
+    assert set(acceptance.EXPECTED_FAILURES) == failing
+    assert selftest_report["unexpected"] == []

@@ -92,6 +92,76 @@ def test_block_reports_are_pinned(fmt, name, tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == BLOCK_SHA256[fmt, name]
 
 
+# The exact reports, recorded before the exact inverse and solves moved to the
+# fraction-free kernel: a regular matrix, a singular one whose every position
+# takes the expand fallback, and one whose minor (0, 0) has no pivot.
+EXACT_DOCUMENTS = {
+    "singular.json": '[["1", "1"], ["1", "1"]]',
+    "swap.json": '[["0", "1"], ["1", "0"]]',
+}
+EXACT_SHA256 = {
+    ("json", "sample_matrix.json"): "fb7c0e46529d4f27310b15869b557b6ab85140b05f3d36a03f7c383673ec1a64",
+    ("json", "singular.json"): "608c5a21126d57bb432c7d20769559c6fdf783ada54d8e9b5e2f8fd673e51bb5",
+    ("json", "swap.json"): "7eb5fc6b724376e821a800830c1bc9070f4e8c746567c8931b65cde118f5e496",
+    ("text", "sample_matrix.json"): "82178fbd2ef5078f7053f59e062c8f178e91b2545464e237be9be9e63605c181",
+    ("text", "singular.json"): "13b3ccadcab22f277ddab6aa3ad1186a842ac5a442160fad4c9c3ace1830ce38",
+    ("text", "swap.json"): "f1e068431df1b01e7ad74bc9ced87d66ae1991b823c871741c1714d89d697bfa",
+}
+
+
+@pytest.mark.parametrize("fmt, name", sorted(EXACT_SHA256))
+def test_exact_reports_are_pinned(fmt, name, tmp_path, monkeypatch, capsys):
+    (tmp_path / "sample_matrix.json").write_bytes((CONFIGS / "sample_matrix.json").read_bytes())
+    for doc_name, text in EXACT_DOCUMENTS.items():
+        (tmp_path / doc_name).write_text(text)
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(["--format", fmt, "quasidet", "--input", name], capsys)
+    assert (code, err) == (0 if name != "swap.json" else 1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == EXACT_SHA256[fmt, name]
+
+
+def stub_criteria(monkeypatch, **changes):
+    """Criteria 1-10 replaced by stubs that pass, except the pinned expected
+    failures, which fail with their pinned text; ``changes`` maps
+    ``"c<id>"`` to fields that replace a stub's."""
+    from qpii import acceptance
+
+    for cid in range(1, 11):
+        name = next(n for n in dir(acceptance) if n.startswith(f"criterion_{cid}_"))
+        result = {"id": cid, "name": "stub", "pass": True}
+        if cid in acceptance.EXPECTED_FAILURES:
+            field, text = acceptance.EXPECTED_FAILURES[cid]
+            result.update({"pass": False, field: text})
+        result.update(changes.get(f"c{cid}", {}))
+        monkeypatch.setattr(acceptance, name, lambda *_args, result=result: dict(result))
+
+
+def test_selftest_exits_0_on_the_pinned_failures_alone(monkeypatch, capsys):
+    stub_criteria(monkeypatch)
+    code, out, err = run_main(["selftest"], capsys)
+    report = json.loads(out)
+    assert (code, report["passed"], report["unexpected"]) == (0, 9, [])
+    assert [e["id"] for e in report["expected_failures"]] == [1, 3]
+    assert "criterion  1 (stub): FAIL (expected)" in err
+
+
+@pytest.mark.parametrize(
+    "changes, unexpected",
+    [
+        ({"c6": {"pass": False}}, "criterion 6 fails"),
+        ({"c3": {"pass": True}}, "criterion 3 passes, but is pinned as an expected failure"),
+        ({"c1": {"constraint_derived": "0"}}, "criterion 1 constraint_derived reads '0', pinned"),
+    ],
+)
+def test_selftest_exits_1_on_an_outcome_the_pins_do_not_allow(monkeypatch, capsys, changes, unexpected):
+    stub_criteria(monkeypatch, **changes)
+    code, out, err = run_main(["selftest"], capsys)
+    report = json.loads(out)
+    assert code == 1
+    assert [line.startswith(unexpected) for line in report["unexpected"]] == [True]
+    assert f"unexpected: {unexpected}" in err
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
@@ -233,15 +303,17 @@ def test_quasidet_exact_entry_beyond_float_range(tmp_path, capsys):
 
 
 def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypatch):
-    # one det A for the check; checking position by position would compute
-    # it again at each of the n^2 positions.  Fraction-free eliminations: one
-    # for det A and one per minor, which gives both the minor's determinant
-    # and the pivot-formula value.  The rational elimination serves only the
-    # inverse.
-    dets, fraction_free, eliminations = [], [], []
-    det, kernel, eliminate = quasidet.det_by_elimination, quasidet._fraction_free, quasidet._eliminate
-    monkeypatch.setattr(quasidet, "det_by_elimination", lambda M: dets.append(M.n) or det(M))
-    monkeypatch.setattr(quasidet, "_fraction_free", lambda rows: fraction_free.append(len(rows)) or kernel(rows))
+    # every exact value comes from the fraction-free kernel, one elimination
+    # each, recorded as (rows, width): det A once for the check, since
+    # checking position by position would compute it again at each of the
+    # n^2 positions; [A^ij | a_j] per minor, which gives both the minor's
+    # determinant and the pivot-formula value; and [A | I] for the inverse
+    # that reads every position.  No rational elimination runs.
+    fraction_free, eliminations = [], []
+    kernel, eliminate = quasidet._fraction_free, quasidet._eliminate
+    monkeypatch.setattr(
+        quasidet, "_fraction_free", lambda rows: fraction_free.append((len(rows), len(rows[0]))) or kernel(rows)
+    )
     monkeypatch.setattr(
         quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
     )
@@ -255,9 +327,8 @@ def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypat
     code, out, _err = run_main(["quasidet", "--input", str(matrix)], capsys)
     assert code == 0
     assert json.loads(out)["commutative_reduction"] == {f"{i},{j}": True for i in range(4) for j in range(4)}
-    assert dets == [4]
-    assert sorted(fraction_free) == [3] * 16 + [4]
-    assert eliminations == [4]
+    assert sorted(fraction_free) == [(3, 4)] * 16 + [(4, 4), (4, 8)]
+    assert eliminations == []
 
 
 def test_quasidet_has_no_carrier_flag(capsys):

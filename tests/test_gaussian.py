@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qpii.gaussian import GaussianRational, scaled_to_integers
+from qpii.gaussian import GaussianRational, divided_integers, scaled_to_integers
 
 
 class FractionPairGaussian:
@@ -116,13 +116,22 @@ def test_arithmetic_matches_fraction_pair_oracle(x, y, n):
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
-@given(values=st.lists(_PAIRS, min_size=1, max_size=7))
-def test_scaled_to_integers_matches_fraction_pair_oracle(values):
+@given(
+    values=st.lists(_PAIRS, min_size=1, max_size=7),
+    divisor=st.tuples(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30)).filter(any),
+)
+def test_scaled_to_integers_matches_fraction_pair_oracle(values, divisor):
+    # and divided_integers is its counterpart: dividing by the scale gives the
+    # values back, and dividing by a Gaussian integer matches the oracle
     pairs, scale = scaled_to_integers([GaussianRational(*v) for v in values])
     oracle = [FractionPairGaussian(*v) for v in values]
     assert scale == lcm(*(f.denominator for o in oracle for f in (o.re, o.im)))
     assert pairs == [(o.re * scale, o.im * scale) for o in oracle]
     assert all(type(x) is int for pair in pairs for x in pair)
+    for got, o in zip(divided_integers(pairs, (scale, 0)), oracle, strict=True):
+        _assert_matches(got, o)
+    for got, (a, b) in zip(divided_integers(pairs, divisor), pairs, strict=True):
+        _assert_matches(got, FractionPairGaussian(a, b) / FractionPairGaussian(*divisor))
 
 
 @pytest.mark.parametrize(

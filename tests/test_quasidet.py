@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qpii import quasidet
+from qpii.cli import main
 from qpii.gaussian import gauss, scaled_to_integers
 from qpii.quasidet import (
     BlockMatrix,
@@ -30,7 +31,6 @@ from qpii.quasidet import (
     commutative_reduction_check,
     det_by_elimination,
     invert_complex_matrix,
-    invert_by_elimination,
     load_matrix_json,
     quasideterminant_expand,
     quasideterminant_via_inverse,
@@ -133,13 +133,13 @@ def expand_by_minor_inverse(M, i, j):
     """Test oracle: the complex pivot formula as it was before the solve,
     ``a_ij - sum_pq row_p (A^ij)^-1_pq col_q`` with the whole minor inverted."""
     car = M.carrier
-    minor_inv = invert_by_elimination(M.minor(i, j))
+    minor_inv = car.invert_matrix(M.minor(i, j).rows)
     row = [M[(i, c)] for c in range(M.n) if c != j]
     col = [M[(r, j)] for r in range(M.n) if r != i]
     acc = car.zero()
     for p in range(M.n - 1):
         for q in range(M.n - 1):
-            acc = car.add(acc, car.mul(car.mul(row[p], minor_inv[(p, q)]), col[q]))
+            acc = car.add(acc, car.mul(car.mul(row[p], minor_inv[p][q]), col[q]))
     return car.sub(M[(i, j)], acc)
 
 
@@ -330,8 +330,8 @@ def test_all_quasideterminants_inverts_complex_entries_together(monkeypatch):
     # the n^2 entries of the inverse go through one stacked kernel call,
     # bit for bit what one call per entry returns
     M = random_block_matrix(random.Random(7), 5, 3)
-    inv = invert_by_elimination(M)
-    want = {(i, j): invert_complex_matrix(inv[(j, i)]) for i in range(5) for j in range(5)}
+    inv = M.carrier.invert_matrix(M.rows)
+    want = {(i, j): invert_complex_matrix(inv[j][i]) for i in range(5) for j in range(5)}
 
     def refuse(*_args):
         raise AssertionError("complex entry inverted on its own")
@@ -359,7 +359,7 @@ def test_all_quasideterminants_over_stacked_blocks():
         for c in range(3):
             stacked.rows[r][c] = stacked.rows[r][c].copy()
             stacked.rows[r][c][2] = swap[r][c] * np.eye(2)
-    invert_by_elimination(stacked)
+    stacked.carrier.invert_matrix(stacked.rows)
     with pytest.raises(NonInvertibleMinor) as err:
         all_quasideterminants(stacked)
     assert (err.value.row, err.value.col) == (0, 0)
@@ -398,7 +398,7 @@ def test_noninvertible_entry():
 # -- exact pivot formula by one solve ------------------------------------------
 
 
-def zero_heavy_matrix(rng, n):
+def zero_heavy_rows(rng, n, width):
     """Small Gaussian integers and halves, mostly zero at a drawn rate, so
     minors need row swaps and are often singular."""
     zero_rate = rng.choice((0.3, 0.5, 0.7))
@@ -408,7 +408,11 @@ def zero_heavy_matrix(rng, n):
             return gauss(0)
         return gauss(Fraction(rng.randint(-2, 2), rng.choice((1, 2))), rng.choice((0, 0, 1, -1)))
 
-    return BlockMatrix(EXACT, [[entry() for _ in range(n)] for _ in range(n)])
+    return [[entry() for _ in range(width)] for _ in range(n)]
+
+
+def zero_heavy_matrix(rng, n):
+    return BlockMatrix(EXACT, zero_heavy_rows(rng, n, n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -452,10 +456,32 @@ def test_exact_expand_inverts_no_minor(monkeypatch):
     def refuse(*_args):
         raise AssertionError("minor inverted")
 
-    monkeypatch.setattr(qd, "invert_by_elimination", refuse)
+    monkeypatch.setattr(qd.ExactScalarCarrier, "invert_matrix", refuse)
     M = random_exact_matrix(random.Random(9), 5)
     assert len(expand_positions(M)) == 25
     assert commutative_reduction(M) == [True] * 25
+
+
+def _solved_or_message(solve, *args):
+    try:
+        return solve(*args)
+    except ZeroDivisionError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(rng=st.randoms(use_true_random=False), n=st.integers(1, 6), width=st.integers(1, 3))
+def test_exact_solve_and_inverse_match_rational_reference(rng, n, width):
+    # the fraction-free solve and inverse equal the rational elimination
+    # value for value, and on singular input raise its message
+    rows = zero_heavy_rows(rng, n, n)
+    rhs = zero_heavy_rows(rng, n, width)
+    identity = [[gauss(int(r == c)) for c in range(n)] for r in range(n)]
+    want = _solved_or_message(_solve, EXACT, rows, rhs)
+    assert _solved_or_message(EXACT.solve, rows, rhs) == want
+    want_inverse = _solved_or_message(_solve, EXACT, rows, identity)
+    assert _solved_or_message(EXACT.invert_matrix, rows) == want_inverse
+    assert isinstance(want, str) == isinstance(want_inverse, str)
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -573,12 +599,12 @@ def test_stacked_elimination_pivots_per_index():
     rows[1][0][5] = 0.0
     rows[2][0][5] *= 1e-3
     car = ComplexMatrixCarrier(d)
-    got = invert_by_elimination(BlockMatrix(car, rows))
+    got = car.invert_matrix(rows)
     for s in range(count):
-        want = invert_by_elimination(BlockMatrix(car, [[e[s] for e in row] for row in rows]))
+        want = car.invert_matrix([[e[s] for e in row] for row in rows])
         for r in range(n):
             for c in range(n):
-                assert np.array_equal(got[(r, c)][s], want[(r, c)])
+                assert np.array_equal(got[r][c][s], want[r][c])
 
 
 def test_stacked_elimination_reports_first_index_without_pivot():
@@ -589,7 +615,7 @@ def test_stacked_elimination_reports_first_index_without_pivot():
     rows[0][0][6] = rows[1][0][6] = 0.0
     rows[0][0][2] = 0.0  # the other candidate still inverts at 2
     with pytest.raises(ZeroDivisionError) as err:
-        invert_by_elimination(BlockMatrix(ComplexMatrixCarrier(2), rows))
+        ComplexMatrixCarrier(2).invert_matrix(rows)
     assert err.value.index == 4
 
 
@@ -616,12 +642,12 @@ def test_elimination_inverse_exact():
             M = random_exact_matrix(rng, n)
             if det_cofactor(M).is_zero():
                 continue
-            inv = invert_by_elimination(M)
+            inv = EXACT.invert_matrix(M.rows)
             for i in range(n):
                 for j in range(n):
                     acc = gauss(0)
                     for k in range(n):
-                        acc = acc + M[(i, k)] * inv[(k, j)]
+                        acc = acc + M[(i, k)] * inv[k][j]
                     assert acc == (gauss(1) if i == j else gauss(0))
 
 
@@ -830,16 +856,19 @@ def integer_det(det, scale):
 def reduction_outcome_reference(M, i, j, det):
     """Test oracle: position (i, j) of the reduction check by two rational
     eliminations of the minor, ``det_by_rational_elimination_reference`` for
-    ``det A^ij`` and the solve inside ``quasideterminant_expand`` for the
-    pivot formula.  ``_reduction_outcome`` must return the same outcome from
-    one fraction-free elimination."""
-    det_minor = det_by_rational_elimination_reference(M.minor(i, j)) if M.n > 1 else M.carrier.one()
+    ``det A^ij`` and the rational ``_solve`` against column j for the pivot
+    formula.  ``_reduction_outcome`` must return the same outcome from one
+    fraction-free elimination."""
+    if M.n == 1:
+        return M[(0, 0)] == det
+    det_minor = det_by_rational_elimination_reference(M.minor(i, j))
     if det_minor.is_zero():
         return None
     expected = det * det_minor.inverse()
     if (i + j) % 2:
         expected = -expected
-    return quasideterminant_expand(M, i, j) == expected
+    x = _solve(EXACT, M.minor(i, j).rows, [[M[(r, j)]] for r in range(M.n) if r != i])
+    return quasidet._pivot_formula(M, i, j, x) == expected
 
 
 def reduction_cases():
@@ -902,6 +931,53 @@ def test_reduction_check_rejects_bad_positions_and_carriers():
         commutative_reduction_check(blocks, 0, 0)
     with pytest.raises(QuasidetError, match="exact scalar carrier"):
         commutative_reduction(blocks)
+
+
+# -- exact documents through the CLI ------------------------------------------
+
+_EXACT_TEXTS = ("1", "-1", "2", "1/2", "-3/2", "1i", "-2i", "1+1i", "1/2-1/3i", "-2+1/2i")
+
+
+@st.composite
+def exact_documents(draw):
+    """An n x n document of Gaussian-rational strings, n = 1..5, mostly "0"
+    at a drawn rate, and for n >= 2 sometimes with the last row repeating the
+    first: singular matrices and singular minors both occur."""
+    n = draw(st.integers(1, 5))
+    entry = st.sampled_from(_EXACT_TEXTS + ("0",) * draw(st.sampled_from((0, 2, 6))))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.sampled_from(("drawn", "drawn", "drawn", "repeat"))) == "repeat":
+        rows[-1] = list(rows[0])
+    return rows
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(doc=exact_documents())
+def test_exact_documents_match_the_determinant_ratio(doc, tmp_path_factory):
+    # a run exits 0 exactly when every (n-1)-minor is nonsingular; then each
+    # position is (-1)^(i+j) det A / det A^ij and every cross-check holds
+    base = tmp_path_factory.getbasetemp()
+    matrix, out = base / "document.json", base / "report.json"
+    matrix.write_text(json.dumps(doc))
+    code = main(["--output", str(out), "quasidet", "--input", str(matrix)])
+    report = json.loads(out.read_text())
+    M = BlockMatrix(EXACT, [[gauss(e) for e in row] for row in doc])
+    n = M.n
+    minors = {(i, j): det_cofactor(M.minor(i, j)) if n > 1 else gauss(1) for i in range(n) for j in range(n)}
+    if any(minor.is_zero() for minor in minors.values()):
+        assert code == 1
+        assert set(report) == {"command", "error"}
+        assert report["error"]["type"] == "NonInvertibleMinor"
+        return
+    assert code == 0
+    det = gauss(0)
+    for j in range(n):
+        term = M[(0, j)] * minors[0, j]
+        det = det - term if j % 2 else det + term
+    for (i, j), minor in minors.items():
+        want = det * minor.inverse()
+        assert report["positions"][f"{i},{j}"] == str(-want if (i + j) % 2 else want)
+    assert list(report["commutative_reduction"].values()) == [True] * n * n
 
 
 # -- expand vs via-inverse over matrix blocks ---------------------------------
