@@ -181,7 +181,8 @@ def main(argv: list[str] | None = None) -> int:
             for line in report["unexpected"]:
                 sys.stderr.write(f"unexpected: {line}\n")
             code = 1 if report["unexpected"] else 0
-    except (QpiiError, OSError, ValueError) as exc:  # JSONDecodeError is a ValueError
+    # JSONDecodeError is a ValueError; a grid too large to allocate is a MemoryError
+    except (QpiiError, OSError, ValueError, MemoryError) as exc:
         report = {
             "error": {"type": type(exc).__name__, "message": str(exc)},
             "command": args.command,

@@ -5,15 +5,15 @@ classical four-stage Runge-Kutta scheme.  The system is linear, so each step
 is a propagator Y_{k+1} = Y_k + Q_k Y_k on the stacked pair Y = [chi; phi],
 with the Q_k built for all spectral values and a chunk of steps at once.
 It applies one-fold and N-fold transformations, builds the quasideterminant
-eigenfunction forms, and computes residual diagnostics.  The one-fold map,
-the dressing map and the level arrays are written once over carrier
+eigenfunction forms, and computes residual diagnostics.  One dressing step
+(the one-fold map and the dressing of the remaining pairs, with each head
+inverted once per level) and the level arrays are written once over carrier
 operations (``mul``, ``sub``, ``invert``, ``scale`` by a scalar weight): the
 numeric path runs them over ``ComplexMatrixCarrier`` grid stacks, an exact
-carrier over exact matrices.  The deformation
-constant is fixed to zero here: with a scalar grid variable the commutation
-constraint can only hold trivially, so the deformed content is verified
-symbolically while the matrix-valued (noncommutative) content is exercised
-numerically.
+carrier over exact matrices.  The deformation constant is fixed to zero
+here: with a scalar grid variable the commutation constraint can only hold
+trivially, so the deformed content is verified symbolically while the
+matrix-valued (noncommutative) content is exercised numerically.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .quasidet import (
     ComplexMatrixCarrier,
     NonInvertibleMinor,
     QuasidetError,
-    invert_complex_matrix,
+    invert_complex_matrix,  # noqa: F401 -- unused here; perfbench/spans.py wraps it by this path
     parse_complex_block,
     parse_complex_scalar,
     quasideterminant_expand,
@@ -244,27 +244,40 @@ def integrate_linear_system(
 # ---------------------------------------------------------------------------
 
 
-def _inv(values: np.ndarray, what: str) -> np.ndarray:
-    """Stacked inverse; the first singular matrix raises at its grid index."""
+def _ratio(car, a, b, what: str):
+    """``a b^-1``; a singular ``b`` raises ``SingularEigenfunction`` at its
+    first singular grid index, naming it ``what``."""
     try:
-        return invert_complex_matrix(values)
+        b_inv = car.invert(b)
     except ZeroDivisionError as exc:
         raise SingularEigenfunction(exc.index, what) from exc
+    return car.mul(a, b_inv)
 
 
-def _dt_step(car, u, chi, phi, lam):
-    """The one-fold map -4 lam T + T u T with T = phi chi^-1, order preserved.
-    The 4 is a weight of its own, so an exact ``lam`` never meets an int."""
-    t = car.mul(phi, car.invert(chi))
-    return car.sub(car.mul(car.mul(t, u), t), car.scale(lam, car.scale(4, t)))
+def _dress_level(car, u, head, pairs):
+    """One Darboux step by the raw ``head = (lam1, chi1, phi1)``: u[1] =
+    -4 lam1 T + T u T with T = phi1 chi1^-1, and each raw ``(lam, chi, phi)``
+    of ``pairs`` dressed to chi[1] = lam phi - lam1 T chi and phi[1] =
+    lam chi - lam1 S phi.  S = chi1 phi1^-1 is formed only when a pair
+    remains, so each head is inverted once.  Products keep their order; the
+    4 is a weight of its own, so an exact ``lam1`` never meets an int.
+    """
+    lam1, chi1, phi1 = head
+    t = _ratio(car, phi1, chi1, "chi")
+    u_next = car.sub(car.mul(car.mul(t, u), t), car.scale(lam1, car.scale(4, t)))
+    if not pairs:
+        return u_next, []
+    s = _ratio(car, chi1, phi1, "phi")
+    return u_next, [
+        (lam, car.sub(car.scale(lam, phi), car.scale(lam1, car.mul(t, chi))),
+         car.sub(car.scale(lam, chi), car.scale(lam1, car.mul(s, phi))))
+        for lam, chi, phi in pairs
+    ]
 
 
 def _one_fold(u: np.ndarray, chi: np.ndarray, phi: np.ndarray, lam: complex) -> np.ndarray:
-    """``_dt_step`` over whole-grid stacks; a singular chi raises at its grid index."""
-    try:
-        return _dt_step(ComplexMatrixCarrier(chi.shape[-1]), u, chi, phi, lam)
-    except ZeroDivisionError as exc:
-        raise SingularEigenfunction(exc.index, "chi") from exc
+    """u[1] of ``_dress_level`` over whole-grid stacks."""
+    return _dress_level(ComplexMatrixCarrier(chi.shape[-1]), u, (lam, chi, phi), [])[0]
 
 
 def darboux_once(u: GridFunction, pair: Eigenpair) -> GridFunction:
@@ -274,21 +287,6 @@ def darboux_once(u: GridFunction, pair: Eigenpair) -> GridFunction:
     return GridFunction(u.z0, u.h, values)
 
 
-def _dressing_map(car, chi, phi, lam, head):
-    """The pair (chi, phi) at ``lam`` dressed by the raw ``head = (lam1, chi1, phi1)``:
-
-    chi[1] = lam phi - lam1 phi1 chi1^-1 chi,
-    phi[1] = lam chi - lam1 chi1 phi1^-1 phi.
-    """
-    lam1, chi1, phi1 = head
-    chi1_inv = car.invert(chi1)
-    phi1_inv = car.invert(phi1)
-    return (
-        car.sub(car.scale(lam, phi), car.scale(lam1, car.mul(car.mul(phi1, chi1_inv), chi))),
-        car.sub(car.scale(lam, chi), car.scale(lam1, car.mul(car.mul(chi1, phi1_inv), phi))),
-    )
-
-
 def dress_eigenfunctions(
     chi: GridFunction,
     phi: GridFunction,
@@ -296,21 +294,22 @@ def dress_eigenfunctions(
     pair1: Eigenpair,
 ) -> tuple[GridFunction, GridFunction]:
     """Map an arbitrary solution pair through the one-fold transformation,
-    ``_dressing_map`` over whole-grid stacks.  Applied to its own seed pair
-    at lam = lam1 both outputs vanish.
+    the pair step of ``_dress_level`` over whole-grid stacks.  Applied to its
+    own seed pair at lam = lam1 both outputs vanish.
     """
     _require_same_grid(chi, pair1.chi, "solutions and the seed pair")
     _require_same_grid(chi, phi, "chi and phi")
+    car = ComplexMatrixCarrier(chi.d)
     head = (pair1.lam, pair1.chi.values, pair1.phi.values)
     try:
-        dressed = _dressing_map(ComplexMatrixCarrier(chi.d), chi.values, phi.values, lam, head)
-    except ZeroDivisionError as exc:
+        [(_lam, *dressed)] = _dress_level(car, car.zero(), head, [(lam, chi.values, phi.values)])[1]
+    except SingularEigenfunction as exc:
         # report the first singular grid index of either family; chi wins a
-        # tie.  chi1 is inverted first, so exc.index is chi1's first failure
-        # or, if chi1 inverts, phi1's.
-        _inv(pair1.phi.values[: exc.index], "phi")
-        _inv(pair1.chi.values, "chi")
-        raise SingularEigenfunction(exc.index, "phi") from exc
+        # tie.  chi1 is inverted first, so exc is chi1's first failure or, if
+        # chi1 inverts, phi1's; a phi1 failure below that index comes first.
+        head_phi = pair1.phi.values[: exc.z_index]
+        _ratio(car, head_phi, head_phi, "phi")
+        raise
     return tuple(GridFunction(chi.z0, chi.h, values) for values in dressed)
 
 
@@ -366,16 +365,17 @@ class DressingChain:
             raise LevelOrderViolation(f"chain has only {self.depth} eigenpairs")
         lam, chi, phi = self._dressed[k - 1]
         u_prev = self._solutions[k - 1]
-        u_next = GridFunction(
-            u_prev.z0,
-            u_prev.h,
-            _one_fold(u_prev.values, chi.values, phi.values, lam),
+        u_values, dressed = _dress_level(
+            ComplexMatrixCarrier(u_prev.d),
+            u_prev.values,
+            (lam, chi.values, phi.values),
+            [(lam_m, chi_m.values, phi_m.values) for lam_m, chi_m, phi_m in self._dressed[k:]],
         )
-        head = Eigenpair(lam, chi, phi)
-        for m in range(k, self.depth):
-            lam_m, chi_m, phi_m = self._dressed[m]
-            chi_new, phi_new = dress_eigenfunctions(chi_m, phi_m, lam_m, head)
-            self._dressed[m] = (lam_m, chi_new, phi_new)
+        u_next = GridFunction(u_prev.z0, u_prev.h, u_values)
+        self._dressed[k:] = [
+            (lam_m, *(GridFunction(u_prev.z0, u_prev.h, v) for v in values))
+            for lam_m, *values in dressed
+        ]
         dets = np.abs(np.linalg.det(chi.values))
         self.audit.append(
             {
@@ -499,7 +499,7 @@ def riccati_residual_numeric(pair: Eigenpair, u: GridFunction) -> np.ndarray:
     in Frobenius norm (the spectral factor stays in the linear term).
     """
     _require_same_grid(u, pair.chi, "seed and eigenfunctions")
-    delta = stack_matmul(pair.chi.values, _inv(pair.phi.values, "phi"))
+    delta = _ratio(ComplexMatrixCarrier(u.d), pair.chi.values, pair.phi.values, "phi")
     d_delta = _fd_first_derivative(delta, u.h)
     delta_u = stack_matmul(delta, u.values)
     rhs = (

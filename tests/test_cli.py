@@ -623,6 +623,19 @@ def test_documents_nested_too_deeply_exit_1(tmp_path, capsys, depth, command, fl
     }
 
 
+def test_grid_too_large_to_allocate_exits_1(tmp_path, capsys):
+    # the 256 PiB seed allocation fails at once, so no memory is touched
+    config = tmp_path / "huge.json"
+    grid = {"z0": 0.0, "h": 1e-9, "count": 18014398509481984}
+    config.write_text(json.dumps({"d": 1, "grid": grid, "lambdas": [[1.0, 0.5]]}))
+    code, out, err = run_main(["darboux", "--config", str(config)], capsys)
+    assert (code, err) == (1, "")
+    report = json.loads(out)
+    assert report.keys() == {"command", "error"}
+    assert report["command"] == "darboux"
+    assert report["error"]["type"].endswith("MemoryError")
+
+
 def test_deep_block_document_that_decodes_reports_the_scalar_grammar(tmp_path, capsys):
     document = tmp_path / "deep.json"
     document.write_text("[" * 500 + "1" + "]" * 500)

@@ -29,9 +29,9 @@ from qpii.darboux import (
     quasidet_dressed_pair,
     quasidet_solution_form,
     riccati_residual_numeric,
-    _dressing_map,
-    _dt_step,
+    _dress_level,
     _omega_arrays,
+    _ratio,
     run_config,
     vacuum_seed,
 )
@@ -243,18 +243,35 @@ def _riccati(u, pair):
     return riccati_residual_numeric(pair, u)
 
 
+def _chain_level(u, pair):
+    other = Eigenpair(0.3 - 0.2j, _with_zeros(u.count, ()), _with_zeros(u.count, ()))
+    DressingChain(u, [pair, other]).compute_level(1)
+
+
 @pytest.mark.parametrize(
     "apply, chi_zeros, phi_zeros, what, index",
     [
         (_dress, (4, 8), (6,), "chi", 4),
         (_dress, (6,), (2, 9), "phi", 2),
         (_dress, (5,), (5,), "chi", 5),
+        (_dress, (0,), (3,), "chi", 0),
         (_riccati, (1,), (3, 7), "phi", 3),
+        (_chain_level, (5,), (2,), "chi", 5),
+        (_chain_level, (), (2,), "phi", 2),
     ],
-    ids=["dress-chi-first", "dress-phi-first", "dress-same-index", "riccati"],
+    ids=[
+        "dress-chi-first",
+        "dress-phi-first",
+        "dress-same-index",
+        "dress-chi-at-zero",
+        "riccati",
+        "chain-chi-before-phi",
+        "chain-phi-with-a-pair-to-dress",
+    ],
 )
 def test_singularity_reports_first_index(apply, chi_zeros, phi_zeros, what, index):
-    # the smallest failing grid index across both families; chi wins a tie
+    # dress_eigenfunctions reports the smallest failing grid index across both
+    # families, chi winning a tie; a chain level checks the head chi first
     count = 11
     pair = Eigenpair(LAM, _with_zeros(count, chi_zeros), _with_zeros(count, phi_zeros))
     u = vacuum_seed(0.0, 1e-2, count, 1)
@@ -262,6 +279,14 @@ def test_singularity_reports_first_index(apply, chi_zeros, phi_zeros, what, inde
         apply(u, pair)
     assert err.value.z_index == index
     assert str(err.value) == f"{what} is singular at grid index {index}"
+
+
+def test_chain_last_head_needs_no_phi_inverse():
+    # no pair remains to dress, so the head phi is never inverted
+    count = 11
+    pair = Eigenpair(LAM, _with_zeros(count, ()), _with_zeros(count, (2,)))
+    chain = DressingChain(vacuum_seed(0.0, 1e-2, count, 1), [pair])
+    assert chain.compute_level(1).count == count
 
 
 def test_level_two_singular_minor_reports_index():
@@ -431,14 +456,8 @@ class ExactMatrixCarrier:
         return _solve(self, rows, rhs)
 
 
-@pytest.mark.parametrize("d", [1, 2, 3])
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_nth_quasideterminant_form_is_exact(d, seed):
-    # the recursive dressing and the quasideterminant of the level arrays,
-    # both through the shipped formulas, agree exactly on random rational
-    # data at levels 1-6, and so do the solutions u[k] of the two routes
-    rng = random.Random(f"nfold:{d}:{seed}")
-    car = ExactMatrixCarrier(d)
+def exact_sampler(rng, d):
+    """Random Gaussian-rational scalars and ``d x d`` matrices drawn from ``rng``."""
 
     def part():
         return Fraction(rng.randint(-5, 5), rng.randint(1, 3))
@@ -449,30 +468,115 @@ def test_nth_quasideterminant_form_is_exact(d, seed):
     def matrix():
         return tuple(tuple(entry() for _ in range(d)) for _ in range(d))
 
+    return entry, matrix
+
+
+def distinct_lambdas(entry, n):
     lams = []
-    while len(lams) < 6:
+    while len(lams) < n:
         lam = entry()
         if not lam.is_zero() and lam not in lams:
             lams.append(lam)
-    pairs = [(lam, matrix(), matrix()) for lam in lams]
+    return lams
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_nth_quasideterminant_form_is_exact(d, seed):
+    # the recursive dressing and the quasideterminant of the level arrays,
+    # both through the shipped formulas, agree exactly on random rational
+    # data at levels 1-6, and so do the solutions u[k] of the two routes
+    entry, matrix = exact_sampler(random.Random(f"nfold:{d}:{seed}"), d)
+    car = ExactMatrixCarrier(d)
+    pairs = [(lam, matrix(), matrix()) for lam in distinct_lambdas(entry, 6)]
     dressed = list(pairs)
     u_rec = u_qd = matrix()
     for k in range(1, 7):
-        # the recursive route, as DressingChain.compute_level runs it
-        lam, chi, phi = dressed[k - 1]
-        u_rec = _dt_step(car, u_rec, chi, phi, lam)
-        dressed[k:] = [
-            (lam_m, *_dressing_map(car, chi_m, phi_m, lam_m, dressed[k - 1]))
-            for lam_m, chi_m, phi_m in dressed[k:]
-        ]
+        # the recursive route: the level step DressingChain.compute_level runs
+        head = dressed[0]
+        u_rec, dressed = _dress_level(car, u_rec, head, dressed[1:])
         # the quasideterminant route, as quasidet_solution_form runs it
         form = tuple(
             quasideterminant_expand(BlockMatrix(car, rows), k - 1, k - 1)
             for rows in _omega_arrays(car, pairs, k)
         )
-        assert form == (chi, phi), f"level {k}"
-        u_qd = _dt_step(car, u_qd, *form, lam)
+        assert form == head[1:], f"level {k}"
+        u_qd = _dress_level(car, u_qd, (head[0], *form), [])[0]
         assert u_qd == u_rec
+
+
+class DualCarrier:
+    """``(value, derivative)`` pairs over a base carrier.  ``mul`` applies the
+    product rule and ``invert`` gives ``(a^-1, -a^-1 a' a^-1)``, so a formula
+    written over carrier operations returns its exact derivative as well."""
+
+    def __init__(self, base):
+        self.base = base
+
+    def sub(self, a, b):
+        return self.base.sub(a[0], b[0]), self.base.sub(a[1], b[1])
+
+    def scale(self, w, a):
+        return self.base.scale(w, a[0]), self.base.scale(w, a[1])
+
+    def mul(self, a, b):
+        car = self.base
+        return car.mul(a[0], b[0]), car.add(car.mul(a[1], b[0]), car.mul(a[0], b[1]))
+
+    def invert(self, a):
+        inv = self.base.invert(a[0])
+        return inv, self.base.scale(-1, self.base.mul(self.base.mul(inv, a[1]), inv))
+
+
+def system_duals(car, u, lam, chi, phi):
+    """``chi`` and ``phi`` as dual elements, with the derivatives the linear
+    system gives: chi' = (-2i lam + u) chi + u phi, phi' = u chi + (2i lam + u) phi."""
+    two_i_lam = gauss(0, 2) * lam
+    coupled = car.add(car.mul(u, chi), car.mul(u, phi))
+    return (
+        (chi, car.sub(coupled, car.scale(two_i_lam, chi))),
+        (phi, car.add(coupled, car.scale(two_i_lam, phi))),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_eigenfunction_ratio_satisfies_riccati_closure_exactly(d):
+    # positive control of the dual carrier: Delta = chi phi^-1 of a solution
+    # pair has the derivative -4i lam Delta + u + [u, Delta] - Delta u Delta,
+    # the closure riccati_residual_numeric measures by finite differences
+    entry, matrix = exact_sampler(random.Random(f"riccati:{d}"), d)
+    car = ExactMatrixCarrier(d)
+    lam, u = entry(), matrix()
+    delta, d_delta = _ratio(DualCarrier(car), *system_duals(car, u, lam, matrix(), matrix()), "phi")
+    delta_u = car.mul(delta, u)
+    want = car.add(car.add(car.scale(gauss(0, -4) * lam, delta), u), car.mul(u, delta))
+    assert d_delta == car.sub(car.sub(want, delta_u), car.mul(delta_u, delta))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason=(
+        "the shipped dressing map is not covariant: the dressed pair does not "
+        "solve the linear system of u[1], even at d = 1 on the vacuum"
+    ),
+)
+def test_dressed_pair_solves_the_dressed_system():
+    # one _dress_level call over the dual carrier returns u[1], chi[1] and
+    # phi[1] with exact derivatives; a Darboux map would make the defect
+    # chi[1]' - ((-2i lam + u[1]) chi[1] + u[1] phi[1]) vanish
+    entry, matrix = exact_sampler(random.Random("covariance:1"), 1)
+    car = ExactMatrixCarrier(1)
+    vacuum = car.zero()
+    lam1, lam = distinct_lambdas(entry, 2)
+    head = (lam1, *system_duals(car, vacuum, lam1, matrix(), matrix()))
+    pair = (lam, *system_duals(car, vacuum, lam, matrix(), matrix()))
+    (u1, _du1), [(_lam, chi1, phi1)] = _dress_level(
+        DualCarrier(car), (vacuum, vacuum), head, [pair]
+    )
+    (_chi, want), _phi = system_duals(car, u1, lam, chi1[0], phi1[0])
+    defect = car.sub(chi1[1], want)
+    assert car.is_zero(defect), f"chi defect {defect}"
 
 
 # -- chains ------------------------------------------------------------------------
@@ -576,6 +680,27 @@ def test_quasidet_levels_computed_once_per_chain(monkeypatch):
     }
     run_config(DarbouxConfig.from_json(doc))
     assert calls == [1, 2, 3]
+
+
+def test_each_head_is_inverted_once_per_level(monkeypatch):
+    # the N = 3 chain of the shipped d = 2 config: chi1 at every level, phi1
+    # while a pair remains to dress
+    doc = json.loads((ROOT / "configs" / "vacuum_n3_d2.json").read_text())
+    cfg = DarbouxConfig.from_json(doc)
+    seed = cfg.seed_grid()
+    chain = DressingChain(seed, dbx.integrate_eigenpairs(seed, cfg.lambdas, cfg.inits))
+    counts = []
+    inner = quasidet._gauss_jordan
+
+    def counting(*args):
+        counts[-1] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(quasidet, "_gauss_jordan", counting)
+    for k in range(1, chain.depth + 1):
+        counts.append(0)
+        chain.compute_level(k)
+    assert counts == [2, 2, 1]
 
 
 def test_level_order_enforced():
