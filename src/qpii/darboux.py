@@ -780,7 +780,9 @@ def run_config(config: DarbouxConfig) -> dict:
 
 def integrator_convergence_table(d: int = 1, lam: complex = 1 + 0.5j) -> dict:
     """Endpoint error on [0, 1] against the trivial-seed closed form, for the
-    step sizes 1e-2, 5e-3, 2.5e-3 and 1.25e-3."""
+    step sizes 1e-2, 5e-3, 2.5e-3 and 1.25e-3.  A halving ratio is None where
+    the finer error is zero, as at ``lam = 0``, whose constant solution the
+    integrator meets exactly."""
     errors = []
     for h in (1e-2, 5e-3, 2.5e-3, 1.25e-3):
         count = int(round(1.0 / h)) + 1
@@ -795,7 +797,7 @@ def integrator_convergence_table(d: int = 1, lam: complex = 1 + 0.5j) -> dict:
         )
         errors.append({"h": h, "endpoint_error": err})
     ratios = [
-        errors[i]["endpoint_error"] / errors[i + 1]["endpoint_error"]
-        for i in range(len(errors) - 1)
+        coarse["endpoint_error"] / fine["endpoint_error"] if fine["endpoint_error"] else None
+        for coarse, fine in zip(errors, errors[1:])
     ]
     return {"errors": errors, "halving_ratios": ratios}

@@ -19,9 +19,10 @@ the inverse entry exists, and over a commutative carrier it reduces to
   no rational and runs no gcd; ``_integer_back_substitution`` gives ``D X``
   as integers, ``D`` the last pivot, and ``divided_integers`` builds each
   entry of ``X`` with one gcd.  The exact solve and inverse,
-  ``det_by_elimination`` and the cross-check run on it.  The rational,
-  carrier-generic ``_eliminate`` and ``_solve`` serve noncommutative exact
-  carriers, such as the exact matrix carrier of the tests.
+  ``det_by_elimination`` and the cross-check run on it.  A noncommutative
+  exact carrier solves the same way: its ``d x d`` blocks flatten into one
+  scalar system for the exact scalar carrier's ``solve``, so a block pivot
+  need not be invertible on its own.
 * ``stack_matmul`` is the one product of complex blocks, single or
   stacked: a sum over the inner index of broadcast products, which for
   blocks of a few rows beats numpy's per-matrix ``@``.  The carrier's
@@ -94,22 +95,16 @@ class NonInvertibleEntry(QuasidetError):
 class ExactScalarCarrier:
     """Exact commutative Gaussian-rational scalars."""
 
-    # the scalar's own methods, so elimination pays no extra call per entry
+    # the scalar's own methods, so the pivot formula pays no extra call per entry
     add = staticmethod(GaussianRational.__add__)
     sub = staticmethod(GaussianRational.__sub__)
     mul = staticmethod(GaussianRational.__mul__)
-    is_zero = staticmethod(GaussianRational.is_zero)
 
     def zero(self):
         return gauss(0)
 
     def one(self):
         return gauss(1)
-
-    def invert(self, a):
-        if a.is_zero():
-            raise ZeroDivisionError("inverse of exact zero")
-        return a.inverse()
 
     def invert_entries(self, entries):
         return [None if e.is_zero() else e.inverse() for e in entries]
@@ -131,8 +126,8 @@ class ComplexMatrixCarrier:
     """Square complex-matrix blocks of a fixed dimension.
 
     An element is one ``(dim, dim)`` block or a ``(count, dim, dim)`` stack.
-    ``solve`` and ``invert_matrix`` flatten the blocks, broadcast to one
-    stack, into one scalar system per stack index.  Every inverse and solve
+    ``solve`` and ``invert_matrix`` flatten the blocks, all of one shape,
+    into one scalar system per stack index.  Every inverse and solve
     is partial-pivot Gauss-Jordan with the relative singularity cutoff
     ``SINGULARITY_TOL``, shared with the numeric backend; a singular stack
     index raises ``ZeroDivisionError`` with the first one as ``index``.
@@ -189,15 +184,21 @@ class ComplexMatrixCarrier:
         return [None if bad else value for bad, value in zip(failed, inv.reshape(stack.shape))]
 
     def _flatten(self, rows) -> tuple[np.ndarray, tuple]:
-        """The blocks of ``rows``, broadcast to one shape, as one scalar matrix
-        per stack index, and the stack shape: block (r, c) entry (i, j)
-        becomes scalar entry (r*d + i, c*d + j)."""
+        """The blocks of ``rows``, all of one shape, as one scalar matrix per
+        stack index, and the stack shape: block (r, c) entry (i, j) becomes
+        scalar entry (r*d + i, c*d + j)."""
         import numpy as np
 
-        n, m, d = len(rows), len(rows[0]), self.dim
-        blocks = np.stack(np.broadcast_arrays(*(self._coerce(e) for row in rows for e in row)))
+        d = self.dim
+        try:
+            blocks = np.asarray(rows, dtype=np.complex128)
+        except ValueError as exc:
+            raise QuasidetError(f"expected {d}x{d} blocks of one shape") from exc
+        if blocks.ndim not in (4, 5) or blocks.shape[-2:] != (d, d):
+            raise QuasidetError(f"expected {d}x{d} blocks of one shape, got {blocks.shape[2:]}")
+        n, m = blocks.shape[:2]
         flat = blocks.reshape(n, m, -1, d, d).transpose(2, 0, 3, 1, 4).reshape(-1, n * d, m * d)
-        return flat, blocks.shape[1:-2]
+        return flat, blocks.shape[2:-2]
 
     def _unflatten(self, flat: np.ndarray, lead: tuple) -> list[list]:
         d = self.dim
@@ -215,9 +216,6 @@ class ComplexMatrixCarrier:
     def invert_matrix(self, rows):
         flat, lead = self._flatten(rows)
         return self._unflatten(invert_complex_matrix(flat), lead)
-
-    def is_zero(self, a) -> bool:
-        return not a.any()
 
 
 # A pivot whose magnitude is at most this fraction of the largest entry of its
@@ -316,74 +314,6 @@ class BlockMatrix:
     def minor(self, i: int, j: int) -> "BlockMatrix":
         rows = [row[:j] + row[j + 1:] for r, row in enumerate(self.rows) if r != i]
         return BlockMatrix(self.carrier, rows)
-
-
-# ---------------------------------------------------------------------------
-# Rational elimination over a carrier
-# ---------------------------------------------------------------------------
-
-
-def _eliminate(car, work: list, rhs: list) -> tuple[list, int]:
-    """Forward elimination of ``work`` in place, with the same row operations on ``rhs``.
-
-    Row operations are left multiplications, and each column takes the first
-    candidate at or below the diagonal that inverts.  ``work`` is left upper
-    triangular on and above the diagonal, with the pivots on it; entries
-    below the diagonal are stale.  Returns the inverse of each pivot and the
-    number of row swaps.  A column without an invertible candidate raises
-    ``ZeroDivisionError``.
-    """
-    mul, sub = car.mul, car.sub
-    n = len(work)
-    pivot_invs = []
-    swaps = 0
-    for k in range(n):
-        for p in range(k, n):
-            try:
-                pivot_inv = car.invert(work[p][k])
-            except ZeroDivisionError:
-                continue
-            break
-        else:
-            raise ZeroDivisionError(f"no invertible pivot in column {k}")
-        if p != k:
-            work[k], work[p] = work[p], work[k]
-            rhs[k], rhs[p] = rhs[p], rhs[k]
-            swaps += 1
-        pivot_invs.append(pivot_inv)
-        pivot_row, pivot_rhs = work[k][k + 1:], rhs[k]
-        for r in range(k + 1, n):
-            if car.is_zero(work[r][k]):
-                continue
-            f = mul(work[r][k], pivot_inv)
-            work[r][k + 1:] = [sub(e, mul(f, q)) for e, q in zip(work[r][k + 1:], pivot_row)]
-            rhs[r] = [sub(e, mul(f, q)) for e, q in zip(rhs[r], pivot_rhs)]
-    return pivot_invs, swaps
-
-
-def _solve(car, rows: Sequence[Sequence[Any]], rhs: Sequence[Sequence[Any]]) -> list[list]:
-    """``X`` with ``rows X = rhs``, ``rhs`` a list of rows of any width, by
-    ``_eliminate`` and back substitution; neither argument is modified."""
-    work = [list(row) for row in rows]
-    b = [list(row) for row in rhs]
-    pivot_invs, _swaps = _eliminate(car, work, b)
-    return _back_substitute(car, work, b, pivot_invs)
-
-
-def _back_substitute(car, work: list, b: list, pivot_invs: list) -> list[list]:
-    """``X`` from the triangular ``work`` and the right-hand side ``b`` that
-    ``_eliminate`` left, and its pivot inverses; neither list is modified."""
-    mul, sub = car.mul, car.sub
-    n = len(work)
-    x = [None] * n
-    for k in reversed(range(n)):
-        acc = b[k]
-        for c in range(k + 1, n):
-            u = work[k][c]
-            if not car.is_zero(u):
-                acc = [sub(e, mul(u, xc)) for e, xc in zip(acc, x[c])]
-        x[k] = [mul(pivot_invs[k], e) for e in acc]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -505,13 +435,13 @@ def _fraction_free(rows: list) -> int:
     pairs; rows may be wider than their count, and the extra columns take
     the same row operations.
 
-    Each column takes the first nonzero candidate at or below the diagonal,
-    as ``_eliminate`` does.  The update ``(p e - a q) / prev`` divides exactly
-    by the previous pivot, so every entry stays a Gaussian integer and the
-    pivot at ``k`` is the leading ``(k+1)``-minor of the row-permuted matrix:
-    the last one is its determinant.  Entries below the diagonal are stale.
-    Returns ``(-1)^swaps``; a column without a nonzero candidate raises
-    ``ZeroDivisionError`` naming it, as ``_eliminate`` does.
+    Each column takes the first nonzero candidate at or below the diagonal.
+    The update ``(p e - a q) / prev`` divides exactly by the previous pivot,
+    so every entry stays a Gaussian integer and the pivot at ``k`` is the
+    leading ``(k+1)``-minor of the row-permuted matrix: the last one is its
+    determinant.  Entries below the diagonal are stale.  Returns
+    ``(-1)^swaps``; a column without a nonzero candidate raises
+    ``ZeroDivisionError`` naming it.
     """
     n = len(rows)
     sign = 1

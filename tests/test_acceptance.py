@@ -83,20 +83,16 @@ def test_criterion_5_commutative_reduction():
 def test_criterion_5_computes_det_once_per_matrix(monkeypatch):
     # 200 matrices: one fraction-free det A each, and one fraction-free
     # elimination per position, whose minor [A^ij | a_j] gives both its
-    # determinant and the pivot-formula value; no rational elimination at all
-    fraction_free, eliminations = [], []
-    kernel, eliminate = quasidet._fraction_free, quasidet._eliminate
+    # determinant and the pivot-formula value
+    fraction_free = []
+    kernel = quasidet._fraction_free
     monkeypatch.setattr(
         quasidet, "_fraction_free", lambda rows: fraction_free.append(len(rows) - len(rows[0])) or kernel(rows)
-    )
-    monkeypatch.setattr(
-        quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
     )
     result = acceptance.criterion_5_commutative_reduction()
     assert (result["positions_checked"], result["positions_vacuous"], result["failures"]) == (2012, 3, 0)
     # rows minus width: 0 for det A, -1 for a minor with its column
     assert (fraction_free.count(0), fraction_free.count(-1), len(fraction_free)) == (200, 2012 + 3, 200 + 2012 + 3)
-    assert eliminations == []
 
 
 def test_criterion_5_seeded_sweep():
@@ -113,6 +109,30 @@ def test_criterion_6_inverse_characterization():
     _announce(result)
     assert result["max_deviation"] <= 1e-9, result["max_deviation"]
     assert result["pass"]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        *range(1, 7),
+        pytest.param(
+            7,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason=(
+                    "the bound of 1e-9 is absolute: at matrix 14, position (1, 0), the "
+                    "value has magnitude 1.26e4 and the two paths differ by 4.04e-9, "
+                    "a relative deviation of 3e-13"
+                ),
+            ),
+        ),
+        *range(8, 11),
+    ],
+)
+def test_criterion_6_seeded_sweep(seed):
+    result = acceptance.criterion_6_inverse_characterization(seed)
+    assert result["pass"], result
 
 
 def test_criterion_6_inverts_each_matrix_once(monkeypatch):

@@ -308,14 +308,11 @@ def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypat
     # checking position by position would compute it again at each of the
     # n^2 positions; [A^ij | a_j] per minor, which gives both the minor's
     # determinant and the pivot-formula value; and [A | I] for the inverse
-    # that reads every position.  No rational elimination runs.
-    fraction_free, eliminations = [], []
-    kernel, eliminate = quasidet._fraction_free, quasidet._eliminate
+    # that reads every position.
+    fraction_free = []
+    kernel = quasidet._fraction_free
     monkeypatch.setattr(
         quasidet, "_fraction_free", lambda rows: fraction_free.append((len(rows), len(rows[0]))) or kernel(rows)
-    )
-    monkeypatch.setattr(
-        quasidet, "_eliminate", lambda car, work, rhs: eliminations.append(len(work)) or eliminate(car, work, rhs)
     )
     matrix = tmp_path / "n4.json"
     matrix.write_text(json.dumps([
@@ -328,7 +325,6 @@ def test_quasidet_exact_computes_det_once_per_matrix(tmp_path, capsys, monkeypat
     assert code == 0
     assert json.loads(out)["commutative_reduction"] == {f"{i},{j}": True for i in range(4) for j in range(4)}
     assert sorted(fraction_free) == [(3, 4)] * 16 + [(4, 4), (4, 8)]
-    assert eliminations == []
 
 
 def test_quasidet_has_no_carrier_flag(capsys):
@@ -646,6 +642,146 @@ def test_deep_block_document_that_decodes_reports_the_scalar_grammar(tmp_path, c
         "message": f"cannot parse complex scalar {scalar!r}",
         "type": "QuasidetError",
     }
+
+
+# -- the malformed-input fuzzer ------------------------------------------------
+
+_FUZZ_LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([10**400, -(10**400), 2**64]),
+    st.floats(),
+    st.text(alphabet="0123456789 +-/.eEix\u0661\u0662", max_size=8),
+    st.sampled_from(["1", "-1/2", "3/4+1/2i", "-2i", "1 0", "\u0661\u0662", " 1 ", "1/0", "vacuum"]),
+)
+_FUZZ_JSON = st.recursive(
+    _FUZZ_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(["values", "file", "chi", "phi", "z0", "x"]), inner, max_size=3),
+    ),
+    max_leaves=24,
+)
+# d and grid.count size the grid, so an integer put there stays small
+_SIZE_KEYS = {"d": 3, "count": 40}
+_EXACT_SCALAR = st.one_of(
+    st.integers(-3, 3),
+    st.sampled_from(["1/2", "-3/4+1/2i", "2i", "0", "-1"]),
+    st.lists(st.sampled_from([0, 1, -2, "1/2", "-3"]), min_size=2, max_size=2),
+)
+_REAL = st.floats(-4, 4)
+_COMPLEX_SCALAR = st.one_of(_REAL, st.integers(-3, 3), st.lists(_REAL, min_size=2, max_size=2))
+
+
+def _square_lists(size, entry):
+    return st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+@st.composite
+def _mutated_text(draw, doc):
+    """The JSON text of ``doc`` after 0..3 mutations at drawn places of its
+    tree (a value replaced by fuzzed JSON, a key or an element deleted, a
+    fuzzed element or an unknown key added), sometimes wrapped in arrays
+    deeper than the decoder can go."""
+    holder = [doc]
+    for _ in range(draw(st.integers(0, 3))):
+        places, stack = [], [holder]
+        while stack:
+            node = stack.pop()
+            for key in range(len(node)) if isinstance(node, list) else list(node):
+                places.append((node, key))
+                if isinstance(node[key], (list, dict)):
+                    stack.append(node[key])
+        node, key = places[draw(st.integers(0, len(places) - 1))]
+        op, target = draw(st.sampled_from(["replace", "delete", "add"])), node[key]
+        if op == "delete" and node is not holder:
+            del node[key]
+        elif op == "add" and isinstance(target, list):
+            target.insert(draw(st.integers(0, len(target))), draw(_FUZZ_JSON))
+        elif op == "add" and isinstance(target, dict):
+            target[draw(st.sampled_from(["extra", "values", "file", "Z0"]))] = draw(_FUZZ_JSON)
+        else:
+            value = draw(_FUZZ_JSON)
+            if type(value) is int and key in _SIZE_KEYS:
+                value = draw(st.integers(-1, _SIZE_KEYS[key]))
+            node[key] = value
+    depth = draw(st.sampled_from([0] * 13 + [1, 600, 1100]))
+    return "[" * depth + json.dumps(holder[0]) + "]" * depth
+
+
+@st.composite
+def _fuzzed_matrices(draw):
+    """The text of a quasidet document: an n x n array, n = 1..3, of exact
+    scalars or of d x d blocks, d = 1..3, mutated."""
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        doc = draw(_square_lists(n, _EXACT_SCALAR))
+    else:
+        doc = draw(_square_lists(n, _square_lists(draw(st.integers(1, 3)), _COMPLEX_SCALAR)))
+    return draw(_mutated_text(doc))
+
+
+@st.composite
+def _fuzzed_configs(draw):
+    """The text of a darboux config, d = 1..3, 5..40 grid points and one to
+    three spectral values, with or without each optional field, mutated."""
+    d, count = draw(st.integers(1, 3)), draw(st.integers(5, 40))
+    lambdas = draw(st.lists(st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+                            min_size=1, max_size=3, unique_by=tuple))
+    block = _square_lists(d, _COMPLEX_SCALAR)
+    doc = {
+        "d": d,
+        "grid": {"z0": draw(st.floats(-1, 1)), "h": draw(st.sampled_from([0.01, 0.05, 0.1])),
+                 "count": count},
+        "lambdas": lambdas,
+    }
+    if draw(st.booleans()):
+        doc["c"] = draw(_COMPLEX_SCALAR)
+    if draw(st.booleans()):
+        doc["seed"] = draw(st.one_of(
+            st.just("vacuum"),
+            st.fixed_dictionaries({"values": st.lists(block, min_size=count, max_size=count)}),
+        ))
+    if draw(st.booleans()):
+        pair = st.fixed_dictionaries({"chi": block, "phi": block})
+        doc["inits"] = draw(st.lists(pair, min_size=len(lambdas), max_size=len(lambdas)))
+    if draw(st.booleans()):
+        doc["convergence_probe"] = draw(st.booleans())
+    return draw(_mutated_text(doc))
+
+
+def _fuzz_run(tmp_path_factory, argv, text, fmt):
+    """``main`` on one fuzzed document: exit 0, 1 or 2, and at exit 1 a JSON
+    report holds only the command and a structured error."""
+    document = tmp_path_factory.mktemp("fuzz") / "document.json"
+    document.write_text(text, encoding="utf-8")
+    report = document.with_name("report")
+    code = main(["--format", fmt, "--output", str(report), *argv, str(document)])
+    assert code in (0, 1, 2)
+    if fmt == "json" and code == 1:
+        error = json.loads(report.read_text(encoding="utf-8"))
+        assert error.keys() == {"command", "error"}
+        assert error["command"] == argv[0]
+        assert error["error"].keys() == {"type", "message"}
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(
+    text=_fuzzed_matrices(),
+    fmt=st.sampled_from(["json", "json", "text"]),
+    position=st.one_of(st.just(()), st.tuples(st.integers(-1, 3), st.integers(-1, 3))),
+)
+def test_fuzzed_quasidet_documents_end_in_an_exit_code(tmp_path_factory, text, fmt, position):
+    # any exception that escapes main fails the test
+    argv = ["quasidet", *(["--position", *map(str, position)] if position else []), "--input"]
+    _fuzz_run(tmp_path_factory, argv, text, fmt)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(text=_fuzzed_configs(), fmt=st.sampled_from(["json", "json", "text"]))
+def test_fuzzed_darboux_configs_end_in_an_exit_code(tmp_path_factory, text, fmt):
+    _fuzz_run(tmp_path_factory, ["darboux", "--config"], text, fmt)
 
 
 def test_missing_input_file_exits_1(capsys):

@@ -42,7 +42,6 @@ from qpii.quasidet import (
     ComplexMatrixCarrier,
     ExactScalarCarrier,
     NonInvertibleMinor,
-    _solve,
     quasideterminant_expand,
 )
 from qpii.reportio import dumps
@@ -80,6 +79,14 @@ def test_integrator_order():
     table = integrator_convergence_table()
     for ratio in table["halving_ratios"]:
         assert 8.0 <= ratio <= 32.0
+
+
+def test_convergence_probe_at_zero_spectral_value():
+    # the constant solution at lam = 0 is met exactly at every step size, so
+    # no halving ratio is defined; the probe reports None, not ZeroDivisionError
+    table = integrator_convergence_table(d=2, lam=0)
+    assert [e["endpoint_error"] for e in table["errors"]] == [0.0] * 4
+    assert table["halving_ratios"] == [None] * 3
 
 
 def test_divergence_detected():
@@ -446,14 +453,23 @@ class ExactMatrixCarrier:
         w = gauss(w)
         return tuple(tuple(w * x for x in row) for row in a)
 
-    def is_zero(self, a):
-        return all(x.is_zero() for row in a for x in row)
-
     def invert(self, a):
         return tuple(map(tuple, ExactScalarCarrier().invert_matrix(a)))
 
     def solve(self, rows, rhs):
-        return _solve(self, rows, rhs)
+        """``X`` with ``rows X = rhs`` on one scalar system, as the complex
+        carrier solves: block (r, c) entry (i, j) is scalar entry
+        (r*d + i, c*d + j), so no block pivot is inverted on its own."""
+        d = self.d
+
+        def flat(blocks):
+            return [[x for b in row for x in b[i]] for row in blocks for i in range(d)]
+
+        x = ExactScalarCarrier().solve(flat(rows), flat(rhs))
+        return [
+            [tuple(tuple(x[r + i][c : c + d]) for i in range(d)) for c in range(0, len(x[0]), d)]
+            for r in range(0, len(x), d)
+        ]
 
 
 def exact_sampler(rng, d):
@@ -576,7 +592,7 @@ def test_dressed_pair_solves_the_dressed_system():
     )
     (_chi, want), _phi = system_duals(car, u1, lam, chi1[0], phi1[0])
     defect = car.sub(chi1[1], want)
-    assert car.is_zero(defect), f"chi defect {defect}"
+    assert defect == car.zero(), f"chi defect {defect}"
 
 
 # -- chains ------------------------------------------------------------------------

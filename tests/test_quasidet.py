@@ -21,11 +21,9 @@ from qpii.quasidet import (
     NonInvertibleMinor,
     QuasidetError,
     SINGULARITY_TOL,
-    _eliminate,
     _gauss_jordan,
     _integer_rows,
     _reduction_outcome,
-    _solve,
     all_quasideterminants,
     commutative_reduction,
     commutative_reduction_check,
@@ -36,6 +34,7 @@ from qpii.quasidet import (
     quasideterminant_via_inverse,
     stack_matmul,
 )
+from test_darboux import ExactMatrixCarrier, exact_sampler
 
 EXACT = ExactScalarCarrier()
 
@@ -97,36 +96,36 @@ def det_cofactor(M):
     return acc
 
 
-def invert_gauss_jordan(M):
-    """Test oracle: exact Gauss-Jordan inverse and its number of row swaps.
+def rational_gauss_jordan(rows, rhs=None):
+    """Test oracle: exact Gauss-Jordan on ``[A | B]`` over Gaussian rationals.
 
-    The elimination loop the exact inverse used before it became a solve
-    against the identity: each column takes the first nonzero candidate on
-    or below the diagonal, and a column without one raises
-    ``ZeroDivisionError`` naming it.
+    Returns ``X`` with ``A X = B`` (``B`` defaults to the identity, so ``X``
+    is the inverse), the number of row swaps and ``det A``.  Each column
+    takes the first nonzero candidate on or below the diagonal, and a column
+    without one raises ``ZeroDivisionError`` naming it.  Every exact solve,
+    inverse and determinant of the fraction-free kernel must agree with it.
     """
-    n = M.n
-    work = [row[:] for row in M.rows]
-    inv = [[gauss(1) if r == c else gauss(0) for c in range(n)] for r in range(n)]
-    swaps = 0
+    n = len(rows)
+    if rhs is None:
+        rhs = [[gauss(int(r == c)) for c in range(n)] for r in range(n)]
+    work = [[*row, *b] for row, b in zip(rows, rhs)]
+    swaps, det = 0, gauss(1)
     for k in range(n):
         p = next((r for r in range(k, n) if not work[r][k].is_zero()), None)
         if p is None:
             raise ZeroDivisionError(f"no invertible pivot in column {k}")
         if p != k:
             work[k], work[p] = work[p], work[k]
-            inv[k], inv[p] = inv[p], inv[k]
             swaps += 1
+        det = det * work[k][k]
         pivot_inv = work[k][k].inverse()
         work[k] = [pivot_inv * e for e in work[k]]
-        inv[k] = [pivot_inv * e for e in inv[k]]
         for r in range(n):
             if r == k or work[r][k].is_zero():
                 continue
             f = work[r][k]
             work[r] = [e - f * q for e, q in zip(work[r], work[k])]
-            inv[r] = [e - f * q for e, q in zip(inv[r], inv[k])]
-    return inv, swaps
+    return [row[n:] for row in work], swaps, -det if swaps % 2 else det
 
 
 def expand_by_minor_inverse(M, i, j):
@@ -427,7 +426,7 @@ def test_expand_matches_gauss_jordan_pivot_formula(n):
                     assert quasideterminant_expand(M, i, j) is M[(0, 0)]
                     continue
                 try:
-                    minor_inv, swaps = invert_gauss_jordan(M.minor(i, j))
+                    minor_inv, swaps, _det = rational_gauss_jordan(M.minor(i, j).rows)
                 except ZeroDivisionError as exc:
                     raised += 1
                     with pytest.raises(NonInvertibleMinor) as err:
@@ -469,17 +468,20 @@ def _solved_or_message(solve, *args):
         return str(exc)
 
 
+def _rational_solution(rows, rhs=None):
+    return rational_gauss_jordan(rows, rhs)[0]
+
+
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(rng=st.randoms(use_true_random=False), n=st.integers(1, 6), width=st.integers(1, 3))
 def test_exact_solve_and_inverse_match_rational_reference(rng, n, width):
-    # the fraction-free solve and inverse equal the rational elimination
+    # the fraction-free solve and inverse equal the rational Gauss-Jordan
     # value for value, and on singular input raise its message
     rows = zero_heavy_rows(rng, n, n)
     rhs = zero_heavy_rows(rng, n, width)
-    identity = [[gauss(int(r == c)) for c in range(n)] for r in range(n)]
-    want = _solved_or_message(_solve, EXACT, rows, rhs)
+    want = _solved_or_message(_rational_solution, rows, rhs)
     assert _solved_or_message(EXACT.solve, rows, rhs) == want
-    want_inverse = _solved_or_message(_solve, EXACT, rows, identity)
+    want_inverse = _solved_or_message(_rational_solution, rows)
     assert _solved_or_message(EXACT.invert_matrix, rows) == want_inverse
     assert isinstance(want, str) == isinstance(want_inverse, str)
 
@@ -488,7 +490,8 @@ def test_exact_solve_and_inverse_match_rational_reference(rng, n, width):
 def test_solve_over_blocks_multiplies_from_the_left(n):
     # blocks do not commute, so only left multiplications in the row
     # operations and the back substitution solve rows X = rhs; the zero
-    # block at (0, 0) forces a row swap of rows and right-hand side alike
+    # block at (0, 0) forces a row swap of rows and right-hand side alike.
+    # The complex carrier solves to round-off, the exact matrix carrier exactly.
     rng = np.random.default_rng(n)
     car = ComplexMatrixCarrier(2)
 
@@ -499,9 +502,35 @@ def test_solve_over_blocks_multiplies_from_the_left(n):
     if n > 1:
         rows[0][0] = np.zeros((2, 2), dtype=complex)
     rhs = [[block() for _ in range(3)] for _ in range(n)]
-    x = _solve(car, rows, rhs)
+    x = car.solve(rows, rhs)
     residual = np.block(rows) @ np.block(x) - np.block(rhs)
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(np.block(rhs)))
+
+    car = ExactMatrixCarrier(2)
+    _entry, matrix = exact_sampler(random.Random(f"blocks:{n}"), 2)
+    rows = [[matrix() for _ in range(n)] for _ in range(n)]
+    if n > 1:
+        rows[0][0] = car.zero()
+    rhs = [[matrix() for _ in range(3)] for _ in range(n)]
+    x = car.solve(rows, rhs)
+    for row, b in zip(rows, rhs):
+        for c in range(3):
+            got = car.zero()
+            for e, xr in zip(row, x):
+                got = car.add(got, car.mul(e, xr[c]))
+            assert got == b[c]
+
+
+def test_exact_blocks_need_no_invertible_block_pivot():
+    # both blocks in column 0 of the minor at (2, 2) are singular, though the
+    # minor is not: the flattened solve pivots on scalars, so the position
+    # evaluates, where a block-wise elimination finds no pivot in column 0
+    car = ExactMatrixCarrier(2)
+    one, zero = car.one(), car.zero()
+    e11 = ((gauss(1), gauss(0)), (gauss(0), gauss(0)))
+    e22 = ((gauss(0), gauss(0)), (gauss(0), gauss(1)))
+    M = BlockMatrix(car, [[e11, e22, one], [e22, e11, zero], [one, zero, one]])
+    assert quasideterminant_expand(M, 2, 2) == e22
 
 
 # -- complex solve -------------------------------------------------------------
@@ -791,18 +820,13 @@ def test_reduction_check_vacuous_on_singular_minor():
 
 
 def det_by_rational_elimination_reference(M):
-    """Test oracle: the determinant from the pivots and row swaps of the
-    rational ``_eliminate``, one sign flip per swap, zero when a column has
-    no nonzero candidate.  ``det_by_elimination`` must agree with it."""
-    work = [row[:] for row in M.rows]
+    """Test oracle: ``det A`` from the pivots and row swaps of
+    ``rational_gauss_jordan``, zero when a column has no nonzero candidate.
+    ``det_by_elimination`` must agree with it."""
     try:
-        _pivot_invs, swaps = _eliminate(EXACT, work, [[] for _ in work])
+        return rational_gauss_jordan(M.rows, [[] for _ in M.rows])[2]
     except ZeroDivisionError:
         return gauss(0)
-    det = gauss(1)
-    for k, row in enumerate(work):
-        det = det * row[k]
-    return -det if swaps % 2 else det
 
 
 # distinct primes near 10^6, so the lcm of a row's denominators grows with n
@@ -856,7 +880,7 @@ def integer_det(det, scale):
 def reduction_outcome_reference(M, i, j, det):
     """Test oracle: position (i, j) of the reduction check by two rational
     eliminations of the minor, ``det_by_rational_elimination_reference`` for
-    ``det A^ij`` and the rational ``_solve`` against column j for the pivot
+    ``det A^ij`` and ``rational_gauss_jordan`` against column j for the pivot
     formula.  ``_reduction_outcome`` must return the same outcome from one
     fraction-free elimination."""
     if M.n == 1:
@@ -867,7 +891,7 @@ def reduction_outcome_reference(M, i, j, det):
     expected = det * det_minor.inverse()
     if (i + j) % 2:
         expected = -expected
-    x = _solve(EXACT, M.minor(i, j).rows, [[M[(r, j)]] for r in range(M.n) if r != i])
+    x, _swaps, _det = rational_gauss_jordan(M.minor(i, j).rows, [[M[(r, j)]] for r in range(M.n) if r != i])
     return quasidet._pivot_formula(M, i, j, x) == expected
 
 
