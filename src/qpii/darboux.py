@@ -72,6 +72,10 @@ class ConfigError(DarbouxError):
     pass
 
 
+class NonFiniteDiagnostic(DarbouxError):
+    """A number of the run's report came out infinite or NaN."""
+
+
 # ---------------------------------------------------------------------------
 # Grid functions and eigenpairs
 # ---------------------------------------------------------------------------
@@ -704,7 +708,33 @@ def _seed_samples(spec) -> np.ndarray | None:
 
 
 def run_config(config: DarbouxConfig) -> dict:
-    """Full pipeline: integrate, dress both ways, collect residuals."""
+    """Full pipeline: integrate, dress both ways, collect residuals.
+
+    numpy's floating-point warnings are off for the run; instead the
+    finished report is checked, and its first infinite or NaN number raises
+    ``NonFiniteDiagnostic`` naming the field, so no report holds one.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        report = _pipeline_report(config)
+    _require_finite(report, "")
+    return report
+
+
+def _require_finite(node, path: str) -> None:
+    """Raise ``NonFiniteDiagnostic`` at the first infinite or NaN number in
+    ``node``, a tree of dicts and lists, in insertion order."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            _require_finite(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            _require_finite(value, f"{path}[{i}]")
+    elif isinstance(node, (float, complex)) and not cmath.isfinite(node):
+        raise NonFiniteDiagnostic(f"{path} is not finite")
+
+
+def _pipeline_report(config: DarbouxConfig) -> dict:
+    """The report of ``run_config``, before its finiteness check."""
     seed = config.seed_grid()
     pairs = integrate_eigenpairs(seed, config.lambdas, config.inits)
     chain = DressingChain(seed, pairs)

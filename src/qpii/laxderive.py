@@ -9,14 +9,15 @@ any mismatch against the constants carried by the shipped rewrite tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
-from .gaussian import gauss
+from .gaussian import GaussianRational, gauss
 from .ncalg import (
     Algebra,
     DerivationError,
+    Exps,
     NCAlgebraError,
     NCPolynomial,
     RewriteRule,
@@ -61,10 +62,9 @@ class NonVanishingRemainderError(LaxDeriveError):
 class Matrix2:
     """2x2 matrix with noncommutative-polynomial entries (order preserved)."""
 
-    __slots__ = ("algebra", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, algebra: Algebra, e11, e12, e21, e22):
-        self.algebra = algebra
+    def __init__(self, e11, e12, e21, e22):
         self.entries = ((e11, e12), (e21, e22))
 
     def __getitem__(self, rc: tuple[int, int]) -> NCPolynomial:
@@ -73,12 +73,12 @@ class Matrix2:
 
     def map(self, fn: Callable[[NCPolynomial], NCPolynomial]) -> "Matrix2":
         (a, b), (c, d) = self.entries
-        return Matrix2(self.algebra, fn(a), fn(b), fn(c), fn(d))
+        return Matrix2(fn(a), fn(b), fn(c), fn(d))
 
     def __add__(self, other: "Matrix2") -> "Matrix2":
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
-        return Matrix2(self.algebra, a + e, b + f, c + g, d + h)
+        return Matrix2(a + e, b + f, c + g, d + h)
 
     def __sub__(self, other: "Matrix2") -> "Matrix2":
         return self + other.map(lambda p: -p)
@@ -90,7 +90,6 @@ class Matrix2:
         (a, b), (c, d) = self.entries
         (e, f), (g, h) = other.entries
         return Matrix2(
-            self.algebra,
             a * e + b * g,
             a * f + b * h,
             c * e + d * g,
@@ -124,10 +123,10 @@ def pauli_matrices(alg: Algebra) -> tuple[Matrix2, Matrix2, Matrix2, Matrix2]:
     """sigma1, sigma2, sigma3 and the identity over the given algebra."""
     one, zero = alg.one(), alg.zero()
     i, neg_i = alg.i(), alg.scalar(0, -1)
-    sigma1 = Matrix2(alg, zero, one, one, zero)
-    sigma2 = Matrix2(alg, zero, neg_i, i, zero)
-    sigma3 = Matrix2(alg, one, zero, zero, -one)
-    ident = Matrix2(alg, one, zero, zero, one)
+    sigma1 = Matrix2(zero, one, one, zero)
+    sigma2 = Matrix2(zero, neg_i, i, zero)
+    sigma3 = Matrix2(one, zero, zero, -one)
+    ident = Matrix2(one, zero, zero, one)
     return sigma1, sigma2, sigma3, ident
 
 
@@ -165,7 +164,7 @@ def _guard_lax_entries(M: Matrix2) -> None:
 def matrix_grid_derivative(M: Matrix2) -> Matrix2:
     """Entrywise d/dz of a matrix over the Lax generators."""
     _guard_lax_entries(M)
-    table = default_derivation_table(M.algebra)
+    table = default_derivation_table(default_algebra())
     return M.map(lambda p: derive(p, table))
 
 
@@ -183,7 +182,7 @@ def matrix_commutator(B: Matrix2, A: Matrix2) -> Matrix2:
 def _curvature_parts(A: Matrix2, B: Matrix2) -> tuple[Matrix2, Matrix2, Matrix2]:
     """A_z, B_lambda and BA - AB, the commutator in free canonical form."""
     Az, Bl = matrix_grid_derivative(A), matrix_spectral_derivative(B)
-    free = RewriteSystem.free(A.algebra)
+    free = RewriteSystem.free(default_algebra())
     return Az, Bl, matrix_commutator(B, A).map(lambda p: normal_form(p, free))
 
 
@@ -195,7 +194,7 @@ def zero_curvature_residual(A: Matrix2, B: Matrix2, *, _parts=None) -> Matrix2:
     the same residual.
     """
     Az, Bl, Cm = _parts or _curvature_parts(A, B)
-    free = RewriteSystem.free(A.algebra)
+    free = RewriteSystem.free(default_algebra())
     return (Az - Bl - Cm).map(lambda p: normal_form(p, free))
 
 
@@ -211,15 +210,6 @@ class DerivationStep:
     before: dict | str | None
     after: dict | str | None
     note: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "anchor": self.anchor,
-            "before": self.before,
-            "after": self.after,
-            "note": self.note,
-        }
 
 
 @dataclass
@@ -238,11 +228,7 @@ class DerivationReport:
         return [s.anchor for s in self.steps]
 
     def to_dict(self) -> dict:
-        return {
-            "steps": [s.to_dict() for s in self.steps],
-            "calibration": self.calibration,
-            "flags": self.flags,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -257,17 +243,28 @@ class DerivedSystem:
 # ---------------------------------------------------------------------------
 
 
+def _monomial(coeff: dict[Exps, GaussianRational]) -> tuple[Exps, GaussianRational]:
+    """The one ``(exps, gaussian)`` of a single-monomial coefficient."""
+    if len(coeff) != 1:
+        raise NCAlgebraError("coefficient is not a single monomial")
+    return next(iter(coeff.items()))
+
+
+def _coefficient_text(coeff: dict[Exps, GaussianRational]) -> str:
+    """Canonical text of a coefficient, as the scalar polynomial it is."""
+    return NCPolynomial({((), e): g for e, g in coeff.items()}).to_text()
+
+
 def _extract_constraint(alg: Algebra, r11: NCPolynomial, report: DerivationReport) -> NCPolynomial:
     unit = r11.coefficient(("z", "f2"))
-    if unit.is_zero() or not unit.is_monomial():
+    if len(unit) != 1:
         raise ConstraintExtractionError(
             f"diagonal residual lacks a single z f2 term: {r11.to_text()}"
         )
-    constraint = r11.divide_by_monomial(unit)
-    if constraint.coefficient(("z", "f2")).gaussian_part() != gauss(1):
+    constraint = r11.divide_by_monomial(*_monomial(unit))
+    if constraint.coefficient(("z", "f2")).get(alg.exps(), gauss(0)) != gauss(1):
         raise ConstraintExtractionError("could not normalize the z f2 term")
-    minus_one = constraint.coefficient(("f2", "z"))
-    if not (minus_one.is_monomial() and minus_one.monomial() == (alg.exps(), gauss(-1))):
+    if constraint.coefficient(("f2", "z")) != {alg.exps(): gauss(-1)}:
         raise ConstraintExtractionError(
             f"diagonal residual is not a commutator in z and f2: {r11.to_text()}"
         )
@@ -280,27 +277,29 @@ def _extract_constraint(alg: Algebra, r11: NCPolynomial, report: DerivationRepor
     # Shape and scale of the remainder: either kappa*h*f2 or kappa*h.
     f2_part = constraint.coefficient(("f2",))
     const_part = constraint.coefficient(())
-    if not f2_part.is_zero():
-        exps, g = f2_part.monomial()
+    if f2_part:
+        exps, g = _monomial(f2_part)
         if exps != alg.exps(h=1):
             raise ConstraintExtractionError(
-                f"f2 remainder is not linear in the deformation constant: {f2_part}"
+                "f2 remainder is not linear in the deformation constant: "
+                f"{_coefficient_text(f2_part)}"
             )
         shape, kappa = "kappa*h*f2", -g
-    elif not const_part.is_zero():
-        exps, g = const_part.monomial()
+    elif const_part:
+        exps, g = _monomial(const_part)
         if exps != alg.exps(h=1):
             raise ConstraintExtractionError(
-                f"constant remainder is not linear in the deformation constant: {const_part}"
+                "constant remainder is not linear in the deformation constant: "
+                f"{_coefficient_text(const_part)}"
             )
         shape, kappa = "kappa*h", -g
     else:
         shape, kappa = "classical", gauss(0)
 
-    table_kappa = quantum_z_f2_constant(alg).coefficient(()).monomial()[1]
+    table_kappa = _monomial(quantum_z_f2_constant(alg).coefficient(()))[1]
     report.calibration["diagonal"] = {
         "orientation": "z-before-f2",
-        "unit": str(unit),
+        "unit": _coefficient_text(unit),
         "shape": shape,
         "kappa": str(kappa),
         "table_kappa": str(table_kappa),
@@ -332,9 +331,9 @@ def _extract_ode(
             system = RewriteSystem(alg, [rule])
             s = normal_form(entry, system)
             unit = s.coefficient(("f2''",))
-            if unit.is_zero() or not unit.is_monomial():
+            if len(unit) != 1:
                 continue
-            p = s.divide_by_monomial(unit)
+            p = s.divide_by_monomial(*_monomial(unit))
             leftover = [
                 ((w, e), g) for (w, e), g in p.terms() if e[lam_idx] != 0
             ]
@@ -346,9 +345,7 @@ def _extract_ode(
             # report the best attempt's leftovers for diagnosis
             rule = RewriteRule(("f2'", "f2"), alg.word(("f2", "f2'")) + candidates[0][1])
             s = normal_form(entry, RewriteSystem(alg, [rule]))
-            bad = NCPolynomial(
-                alg, {k: g for k, g in s._terms.items() if k[1][lam_idx] != 0}
-            )
+            bad = NCPolynomial({k: g for k, g in s._terms.items() if k[1][lam_idx] != 0})
             raise NonVanishingRemainderError(
                 f"entry ({label}) does not reduce to a scalar multiple of a "
                 f"spectral-free polynomial for any candidate commutator constant",
@@ -365,7 +362,7 @@ def _extract_ode(
     used = {label: results[label][0] for label in ("12", "21")}
     report.calibration["off_diagonal"] = {
         "eliminant_by_entry": used,
-        "units": {label: str(results[label][2]) for label in ("12", "21")},
+        "units": {label: _coefficient_text(results[label][2]) for label in ("12", "21")},
         "consistent_single_constant": used["12"] == used["21"],
     }
     if used["12"] != used["21"]:
@@ -516,8 +513,7 @@ def riccati_derivation(alg: Algebra | None = None) -> tuple[NCPolynomial, dict]:
             f"{sorted(residual_gens)} in {reduced.to_text()}"
         )
 
-    linear = reduced.coefficient(("Delta",))
-    exps, g = linear.monomial()
+    exps, g = _monomial(reduced.coefficient(("Delta",)))
     carries_spectral = exps == alg.exps(l=1)
     report = {
         "anchor": "NCQPIIf",

@@ -1,10 +1,16 @@
 """Exact noncommutative polynomial arithmetic with rewriting and derivations.
 
-Values are finite sums of words over a fixed generator alphabet.  Every
+Values are finite sums of words over one fixed generator alphabet.  Every
 scalar is a Gaussian rational times a Laurent monomial in the declared
 central symbols (``h`` for the deformation constant, ``c`` for the
 integration constant, ``l`` for the spectral symbol).  All arithmetic is
 exact; floating point never enters this module.
+
+A value holds only its ``{(word, exps): gaussian}`` terms.  The word order
+and the central symbols belong to the one algebra built at import, which
+``Algebra`` methods use to build values (``alg.gen``, ``alg.word``, ...).
+A word's coefficient is a plain ``{exps: gaussian}`` dict and a derivation
+table a plain ``{generator: image}`` dict.
 
 Words compare by graded rank-lexicographic order (length first, then the
 generator ranks left to right).  Every shipped rewrite rule strictly
@@ -115,31 +121,28 @@ class Algebra:
     # -- element constructors -------------------------------------------
 
     def zero(self) -> "NCPolynomial":
-        return NCPolynomial(self, {})
+        return NCPolynomial({})
 
     def one(self) -> "NCPolynomial":
-        return NCPolynomial(self, {((), self._zero_exps): gauss(1)})
+        return NCPolynomial({((), self._zero_exps): gauss(1)})
 
     def scalar(self, re=0, im=0) -> "NCPolynomial":
-        g = gauss(re, im)
-        if g.is_zero():
-            return self.zero()
-        return NCPolynomial(self, {((), self._zero_exps): g})
+        return NCPolynomial({((), self._zero_exps): gauss(re, im)})
 
     def i(self) -> "NCPolynomial":
         return self.scalar(0, 1)
 
     def gen(self, name: str) -> "NCPolynomial":
         self.check_word((name,))
-        return NCPolynomial(self, {((name,), self._zero_exps): gauss(1)})
+        return NCPolynomial({((name,), self._zero_exps): gauss(1)})
 
     def word(self, letters: Iterable[str]) -> "NCPolynomial":
         w = self.check_word(tuple(letters))
-        return NCPolynomial(self, {(w, self._zero_exps): gauss(1)})
+        return NCPolynomial({(w, self._zero_exps): gauss(1)})
 
     def central(self, name: str, exp: int = 1) -> "NCPolynomial":
         exps = self.exps(**{name: exp})
-        return NCPolynomial(self, {((), exps): gauss(1)})
+        return NCPolynomial({((), exps): gauss(1)})
 
     def exps(self, **named: int) -> Exps:
         vals = dict(named)
@@ -164,53 +167,8 @@ _ALGEBRA = Algebra()
 
 
 def default_algebra() -> Algebra:
-    """The one algebra, built at import, that every value shares."""
+    """The one algebra, built at import: the namespace that builds values."""
     return _ALGEBRA
-
-
-# ---------------------------------------------------------------------------
-# Coefficient view (per-word scalar, itself a sum of central monomials)
-# ---------------------------------------------------------------------------
-
-
-class Coefficient:
-    """Scalar attached to one word: map from central exponents to Gaussians."""
-
-    __slots__ = ("algebra", "terms")
-
-    def __init__(self, algebra: Algebra, terms: Mapping[Exps, GaussianRational]):
-        self.algebra = algebra
-        self.terms = {e: g for e, g in terms.items() if not g.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
-    def monomial(self) -> tuple[Exps, GaussianRational]:
-        if not self.is_monomial():
-            raise NCAlgebraError("coefficient is not a single monomial")
-        return next(iter(self.terms.items()))
-
-    def gaussian_part(self) -> GaussianRational:
-        """The Gaussian attached to the exponent-free monomial (else zero)."""
-        return self.terms.get(self.algebra.exps(), gauss(0))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Coefficient) and self.terms == other.terms
-
-    def __neg__(self) -> "Coefficient":
-        return Coefficient(self.algebra, {e: -g for e, g in self.terms.items()})
-
-    def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            _term_text(self.algebra, (), e, g) for e, g in sorted(self.terms.items())
-        )
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +197,9 @@ class NCPolynomial:
     threads.
     """
 
-    __slots__ = ("algebra", "_terms")
+    __slots__ = ("_terms",)
 
-    def __init__(self, algebra: Algebra, terms: Mapping[tuple[Word, Exps], GaussianRational]):
-        self.algebra = algebra
+    def __init__(self, terms: Mapping[tuple[Word, Exps], GaussianRational]):
         self._terms = {k: g for k, g in terms.items() if not g.is_zero()}
 
     # -- inspection -----------------------------------------------------
@@ -256,7 +213,7 @@ class NCPolynomial:
 
     def terms(self):
         """Iterate ``((word, exps), gaussian)`` pairs in canonical order."""
-        rank = self.algebra._rank.__getitem__
+        rank = _ALGEBRA._rank.__getitem__
         # the flat (length, ranks, exps) orders as (word_key(word), exps)
         return sorted(
             self._terms.items(),
@@ -276,10 +233,10 @@ class NCPolynomial:
             out.update(w)
         return out
 
-    def coefficient(self, word: Iterable[str]) -> Coefficient:
-        w = self.algebra.check_word(tuple(word))
-        found = {e: g for (ww, e), g in self._terms.items() if ww == w}
-        return Coefficient(self.algebra, found)
+    def coefficient(self, word: Iterable[str]) -> dict[Exps, GaussianRational]:
+        """The scalar attached to one word: ``{exps: gaussian}``, zeros left out."""
+        w = _ALGEBRA.check_word(tuple(word))
+        return {e: g for (ww, e), g in self._terms.items() if ww == w}
 
     # -- ring operations --------------------------------------------------
 
@@ -287,13 +244,13 @@ class NCPolynomial:
         acc = dict(self._terms)
         for k, g in other._terms.items():
             _merge(acc, k, g)
-        return NCPolynomial(self.algebra, acc)
+        return NCPolynomial(acc)
 
     def __sub__(self, other: "NCPolynomial") -> "NCPolynomial":
         return self + (-other)
 
     def __neg__(self) -> "NCPolynomial":
-        return NCPolynomial(self.algebra, {k: -g for k, g in self._terms.items()})
+        return NCPolynomial({k: -g for k, g in self._terms.items()})
 
     def __mul__(self, other) -> "NCPolynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -308,7 +265,7 @@ class NCPolynomial:
                 key = (w1 + w2, tuple(map(add, e1, e2)))
                 cur = get(key)
                 acc[key] = g1 * g2 if cur is None else cur + g1 * g2
-        return NCPolynomial(self.algebra, acc)
+        return NCPolynomial(acc)
 
     def __rmul__(self, other) -> "NCPolynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -316,24 +273,21 @@ class NCPolynomial:
         return NotImplemented
 
     def scale(self, g: GaussianRational) -> "NCPolynomial":
-        if g.is_zero():
-            return self.algebra.zero()
-        return NCPolynomial(self.algebra, {k: v * g for k, v in self._terms.items()})
+        return NCPolynomial({k: v * g for k, v in self._terms.items()})
 
-    def divide_by_monomial(self, coeff: Coefficient) -> "NCPolynomial":
-        """Exact division by a single-monomial coefficient."""
-        exps, g = coeff.monomial()
+    def divide_by_monomial(self, exps: Exps, g: GaussianRational) -> "NCPolynomial":
+        """Exact division by the central monomial ``g`` times ``exps``."""
         inv = g.inverse()
         acc: dict = {}
         for (w, e), v in self._terms.items():
             ne = tuple(a - b for a, b in zip(e, exps))
-            for (cname, floor), val in zip(self.algebra.centrals, ne):
+            for (cname, floor), val in zip(DEFAULT_CENTRALS, ne):
                 if floor is not None and val < floor:
                     raise CentralSubstitutionError(
                         f"division takes {cname} below its minimum exponent"
                     )
             acc[(w, ne)] = v * inv
-        return NCPolynomial(self.algebra, acc)
+        return NCPolynomial(acc)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, NCPolynomial) and self._terms == other._terms
@@ -342,27 +296,28 @@ class NCPolynomial:
 
     def substitute_generator(self, name: str, value: "NCPolynomial") -> "NCPolynomial":
         """Replace every occurrence of a generator by a polynomial."""
-        self.algebra.check_word((name,))
-        out = self.algebra.zero()
+        alg = _ALGEBRA
+        alg.check_word((name,))
+        out = alg.zero()
         for (w, e), g in self._terms.items():
-            pieces = self.algebra.one()
+            pieces = alg.one()
             run: list[str] = []
             for letter in w:
                 if letter == name:
                     if run:
-                        pieces = pieces * self.algebra.word(run)
+                        pieces = pieces * alg.word(run)
                         run = []
                     pieces = pieces * value
                 else:
                     run.append(letter)
             if run:
-                pieces = pieces * self.algebra.word(run)
-            out = out + NCPolynomial(self.algebra, {((), e): g}) * pieces
+                pieces = pieces * alg.word(run)
+            out = out + NCPolynomial({((), e): g}) * pieces
         return out
 
     def set_central(self, name: str, value) -> "NCPolynomial":
         """Evaluate a central symbol at an exact rational value."""
-        idx = self.algebra.central_index(name)
+        idx = _ALGEBRA.central_index(name)
         val = gauss(value)
         acc: dict = {}
         for (w, e), g in self._terms.items():
@@ -378,11 +333,11 @@ class NCPolynomial:
                 continue
             else:
                 _merge(acc, (w, ne), g * (val**exp))
-        return NCPolynomial(self.algebra, acc)
+        return NCPolynomial(acc)
 
     def lambda_derivative(self) -> "NCPolynomial":
         """Formal Laurent derivative with respect to the spectral symbol ``l``."""
-        idx = self.algebra.central_index("l")
+        idx = _ALGEBRA.central_index("l")
         acc: dict = {}
         for (w, e), g in self._terms.items():
             exp = e[idx]
@@ -390,14 +345,14 @@ class NCPolynomial:
                 continue
             ne = e[:idx] + (exp - 1,) + e[idx + 1 :]
             _merge(acc, (w, ne), g * gauss(exp))
-        return NCPolynomial(self.algebra, acc)
+        return NCPolynomial(acc)
 
     # -- text form --------------------------------------------------------
 
     def to_text(self) -> str:
         if not self._terms:
             return "0"
-        return " + ".join(_term_text(self.algebra, w, e, g) for (w, e), g in self.terms())
+        return " + ".join(_term_text(w, e, g) for (w, e), g in self.terms())
 
     def __str__(self) -> str:
         return self.to_text()
@@ -411,9 +366,9 @@ class NCPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def _term_text(algebra: Algebra, word: Word, exps: Exps, g: GaussianRational) -> str:
+def _term_text(word: Word, exps: Exps, g: GaussianRational) -> str:
     parts = [f"({g})"]
-    for name, e in zip(algebra.central_names, exps):
+    for (name, _floor), e in zip(DEFAULT_CENTRALS, exps):
         if e != 0:
             parts.append(f"{name}^{e}")
     if word:
@@ -445,7 +400,7 @@ def parse_poly(algebra: Algebra, text: str) -> NCPolynomial:
         word_text = m.group("word")
         word = algebra.check_word(tuple(word_text.split())) if word_text else ()
         _merge(acc, (word, exps), g)
-    return NCPolynomial(algebra, acc)
+    return NCPolynomial(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -475,25 +430,20 @@ class RewriteSystem:
     """
 
     def __init__(self, algebra: Algebra, rules: Iterable[RewriteRule] = ()):
-        self.algebra = algebra
         # the first rule for a left-hand side wins; inverse pairs come first
         self._by_pair: dict[tuple[str, str], RewriteRule] = {}
         for a, b in algebra.inverse_pairs:
             self._by_pair.setdefault((a, b), RewriteRule((a, b), algebra.one()))
             self._by_pair.setdefault((b, a), RewriteRule((b, a), algebra.one()))
         for rule in rules:
-            algebra.check_word(rule.lhs)
-            self._validate(rule)
+            lhs_key = algebra.word_key(algebra.check_word(rule.lhs))
+            for w, _e in rule.rhs._terms:
+                if not algebra.word_key(w) < lhs_key:
+                    raise RuleOrientationError(
+                        f"rule {rule.lhs} -> {rule.rhs.to_text()} does not decrease "
+                        f"the word order (offending word {w})"
+                    )
             self._by_pair.setdefault(rule.lhs, rule)
-
-    def _validate(self, rule: RewriteRule) -> None:
-        lhs_key = self.algebra.word_key(rule.lhs)
-        for (w, _e), _g in rule.rhs._terms.items():
-            if not self.algebra.word_key(w) < lhs_key:
-                raise RuleOrientationError(
-                    f"rule {rule.lhs} -> {rule.rhs.to_text()} does not decrease "
-                    f"the word order (offending word {w})"
-                )
 
     def reducible_position(self, word: Word) -> int | None:
         """The leftmost position starting a left-hand side, or None."""
@@ -559,12 +509,12 @@ def normal_form(p: NCPolynomial, rules: RewriteSystem) -> NCPolynomial:
     Where ``critical_pairs(rules)`` is empty the result is the unique normal
     form, whatever the order; elsewhere it is this order's choice.
     """
-    word_key = p.algebra.word_key
+    word_key = _ALGEBRA.word_key
     acc = dict(p._terms)
     while True:
         candidates = [k for k in acc if rules.reducible_position(k[0]) is not None]
         if not candidates:
-            return NCPolynomial(p.algebra, acc)
+            return NCPolynomial(acc)
         key = min(candidates, key=lambda k: (word_key(k[0]), k[1]))
         word, exps = key
         g = acc.pop(key)
@@ -584,7 +534,7 @@ def critical_pairs(rules: RewriteSystem) -> list[tuple[Word, NCPolynomial, NCPol
     decreases the word order, so by the diamond lemma (Bergman 1978) an
     empty list proves the table confluent.
     """
-    alg = rules.algebra
+    alg = _ALGEBRA
     out = []
     for (a, b), first in rules._by_pair.items():
         for (b2, c), second in rules._by_pair.items():
@@ -602,24 +552,8 @@ def critical_pairs(rules: RewriteSystem) -> list[tuple[Word, NCPolynomial, NCPol
 # ---------------------------------------------------------------------------
 
 
-class DerivationTable:
-    """Map from generators to their images under d/dz."""
-
-    def __init__(self, algebra: Algebra, images: Mapping[str, NCPolynomial]):
-        self.algebra = algebra
-        self.images = dict(images)
-        for name in self.images:
-            algebra.check_word((name,))
-
-    def image(self, name: str) -> NCPolynomial:
-        try:
-            return self.images[name]
-        except KeyError:
-            raise DerivationError(f"no derivative image for generator {name!r}") from None
-
-
-def default_derivation_table(algebra: Algebra) -> DerivationTable:
-    """The shipped d/dz table for the linear-system eigenvector components."""
+def default_derivation_table(algebra: Algebra) -> dict[str, NCPolynomial]:
+    """The shipped d/dz images of the Lax and eigenvector generators."""
     two_i_lam = algebra.scalar(0, 2) * algebra.central("l")
     chi, phi = algebra.gen("chi"), algebra.gen("phi")
     f2 = algebra.gen("f2")
@@ -628,32 +562,35 @@ def default_derivation_table(algebra: Algebra) -> DerivationTable:
     phi_inv = algebra.gen("phi^-1")
     free = RewriteSystem.free(algebra)
     d_phi_inv = normal_form(-(phi_inv * d_phi * phi_inv), free)
-    return DerivationTable(
-        algebra,
-        {
-            "z": algebra.one(),
-            "f2": algebra.gen("f2'"),
-            "f2'": algebra.gen("f2''"),
-            "chi": d_chi,
-            "phi": d_phi,
-            "phi^-1": d_phi_inv,
-        },
-    )
+    return {
+        "z": algebra.one(),
+        "f2": algebra.gen("f2'"),
+        "f2'": algebra.gen("f2''"),
+        "chi": d_chi,
+        "phi": d_phi,
+        "phi^-1": d_phi_inv,
+    }
 
 
-def derive(p: NCPolynomial, table: DerivationTable) -> NCPolynomial:
-    """Leibniz-linear extension of the table to the whole algebra."""
-    alg = p.algebra
-    out = alg.zero()
+def derive(p: NCPolynomial, table: Mapping[str, NCPolynomial]) -> NCPolynomial:
+    """Leibniz-linear extension of ``{generator: image}`` to the whole algebra.
+
+    Each letter ``w[i]`` of a term contributes ``w[:i] image w[i+1:]``,
+    merged into one accumulation.
+    """
+    acc: dict = {}
     for (w, e), g in p._terms.items():
         for i, letter in enumerate(w):
-            img = table.image(letter)
-            piece = alg.one() if i == 0 else alg.word(w[:i])
-            piece = piece * img
-            if i + 1 < len(w):
-                piece = piece * alg.word(w[i + 1 :])
-            out = out + NCPolynomial(alg, {((), e): g}) * piece
-    return out
+            try:
+                image = table[letter]
+            except KeyError:
+                raise DerivationError(
+                    f"no derivative image for generator {letter!r}"
+                ) from None
+            prefix, suffix = w[:i], w[i + 1 :]
+            for (iw, ie), ig in image._terms.items():
+                _merge(acc, (prefix + iw + suffix, tuple(map(add, e, ie))), g * ig)
+    return NCPolynomial(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +605,7 @@ def classical_limit(p: NCPolynomial) -> NCPolynomial:
     pair reduced to its net count, so the map is a ring morphism onto the
     commutative image, ``CL(pq) == CL(CL(p) CL(q))``, and idempotent.
     """
-    alg = p.algebra
+    alg = _ALGEBRA
     dropped = p.set_central("h", 0)
     acc: dict = {}
     for (w, e), g in dropped._terms.items():
@@ -678,4 +615,4 @@ def classical_limit(p: NCPolynomial) -> NCPolynomial:
             counts[a] -= both
             counts[b] -= both
         _merge(acc, (tuple(sorted(counts.elements(), key=alg.rank)), e), g)
-    return NCPolynomial(alg, acc)
+    return NCPolynomial(acc)

@@ -12,9 +12,11 @@ defect stays visible instead of being masked:
   mutually inconsistent and the table is kept faithful.
 """
 
+import numpy as np
 import pytest
 
 from qpii import acceptance, quasidet
+from qpii import darboux as dbx
 
 
 def _announce(result: dict) -> None:
@@ -181,6 +183,41 @@ def test_criterion_9_dressing_consistency():
     assert result["one_fold_bit_identical"]
     assert result["max_deviation"] <= 1e-8, result["deviations"]
     assert result["pass"]
+
+
+def _criterion_9_draw(seed: int, d: int):
+    """Three spectral values from the shipped configs' box (Re in [-0.7, 1],
+    Im in [-0.2, 0.5], |lambda| >= 0.2, pairwise at least 0.2 apart) and
+    identity inits plus 0.3 times a uniform complex perturbation."""
+    rng = np.random.default_rng(seed)
+    lams: list[complex] = []
+    while len(lams) < 3:
+        lam = complex(rng.uniform(-0.7, 1.0), rng.uniform(-0.2, 0.5))
+        if abs(lam) >= 0.2 and all(abs(lam - m) >= 0.2 for m in lams):
+            lams.append(lam)
+
+    def init():
+        return np.eye(d) + 0.3 * (rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d)))
+
+    return lams, [(init(), init()) for _ in lams]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("seed", range(1, 11))
+def test_criterion_9_seeded_sweep(seed, d):
+    # criterion 9's checks on drawn spectral values and inits
+    lams, inits = _criterion_9_draw(seed, d)
+    seed_grid = dbx.vacuum_seed(0.0, 5e-3, 201, d)
+    pairs = dbx.integrate_eigenpairs(seed_grid, lams, inits)
+    chain = dbx.DressingChain(seed_grid, pairs)
+    once = dbx.darboux_once(seed_grid, pairs[0]).values
+    assert np.array_equal(dbx.darboux_nfold(chain, 1).values, once)
+    assert np.array_equal(dbx.quasidet_solution_form(chain, 1).values, once)
+    for n in (2, 3):
+        u_rec = dbx.darboux_nfold(chain, n)
+        u_qd = dbx.quasidet_solution_form(chain, n)
+        dev = float(np.max(np.linalg.norm(u_rec.values - u_qd.values, axis=(1, 2))))
+        assert dev <= dbx.CONSISTENCY_TOL, (n, dev, u_rec.max_norm())
 
 
 def test_criterion_10_kernel_property():

@@ -428,6 +428,25 @@ def test_darboux_rejects_malformed_config(tmp_path, capsys, monkeypatch, changes
     assert field in error["message"]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_darboux_non_finite_diagnostic_exits_1(tmp_path, capsys):
+    # a tiny phi init makes the Riccati residual overflow: the run names the
+    # field instead of writing Infinity into the report
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "d": 1,
+        "grid": {"z0": 0.19, "h": 0.01, "count": 28},
+        "lambdas": [[1.2e-90, -0.269]],
+        "inits": [{"chi": [[3.34]], "phi": [[2.5e-201]]}],
+    }))
+    code, out, err = run_main(["darboux", "--config", str(config)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "darboux",
+        "error": {"message": "riccati_residual[0].max is not finite", "type": "NonFiniteDiagnostic"},
+    }
+
+
 @pytest.mark.parametrize("text", [json.dumps(json.dumps(_config())), '"x"'],
                          ids=["config-as-string", "string"])
 def test_darboux_config_document_must_be_an_object(tmp_path, capsys, text):
@@ -751,19 +770,25 @@ def _fuzzed_configs(draw):
     return draw(_mutated_text(doc))
 
 
+def _not_json(constant):
+    raise AssertionError(f"the report holds {constant}, which RFC 8259 does not allow")
+
+
 def _fuzz_run(tmp_path_factory, argv, text, fmt):
-    """``main`` on one fuzzed document: exit 0, 1 or 2, and at exit 1 a JSON
-    report holds only the command and a structured error."""
+    """``main`` on one fuzzed document: exit 0, 1 or 2; a JSON report at exit
+    0 or 1 is strict JSON, with no NaN or Infinity, and at exit 1 it holds
+    only the command and a structured error."""
     document = tmp_path_factory.mktemp("fuzz") / "document.json"
     document.write_text(text, encoding="utf-8")
     report = document.with_name("report")
     code = main(["--format", fmt, "--output", str(report), *argv, str(document)])
     assert code in (0, 1, 2)
-    if fmt == "json" and code == 1:
-        error = json.loads(report.read_text(encoding="utf-8"))
-        assert error.keys() == {"command", "error"}
-        assert error["command"] == argv[0]
-        assert error["error"].keys() == {"type", "message"}
+    if fmt == "json" and code in (0, 1):
+        doc = json.loads(report.read_text(encoding="utf-8"), parse_constant=_not_json)
+        if code == 1:
+            assert doc.keys() == {"command", "error"}
+            assert doc["command"] == argv[0]
+            assert doc["error"].keys() == {"type", "message"}
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)

@@ -210,7 +210,7 @@ def test_residual_12_has_second_derivative_unit(alg):
     A, B = build_lax(alg)
     R = zero_curvature_residual(A, B)
     coeff = R[(0, 1)].coefficient(("f2''",))
-    assert coeff.monomial() == (alg.exps(), gauss(0, -1))
+    assert coeff == {alg.exps(): gauss(0, -1)}
 
 
 def test_residual_diagonal_is_spectral_free(alg):
@@ -240,7 +240,7 @@ def test_residual_vanishes_for_trivial_data(alg):
 @pytest.mark.parametrize("bad_side", ["A", "B"])
 def test_residual_rejects_eigenfunction_generators(alg, bad_side):
     A, B = build_lax(alg)
-    bad = Matrix2(alg, alg.gen("chi"), alg.zero(), alg.zero(), alg.zero())
+    bad = Matrix2(alg.gen("chi"), alg.zero(), alg.zero(), alg.zero())
     args = (bad, B) if bad_side == "A" else (A, bad)
     with pytest.raises(LaxEntryError, match="chi"):
         zero_curvature_residual(*args)
@@ -273,7 +273,7 @@ from qpii.ncalg import default_algebra
 alg = default_algebra()
 A, B = build_lax(alg)
 try:
-    zero_curvature_residual(Matrix2(alg, alg.gen("chi"), alg.zero(), alg.zero(), alg.zero()), B)
+    zero_curvature_residual(Matrix2(alg.gen("chi"), alg.zero(), alg.zero(), alg.zero()), B)
 except LaxEntryError as exc:
     print(exc)
 """

@@ -212,7 +212,7 @@ def test_phi_inverse_derivative(alg):
     table = default_derivation_table(alg)
     free = RewriteSystem.free(alg)
     phi_inv = alg.gen("phi^-1")
-    d_phi = table.image("phi")
+    d_phi = table["phi"]
     want = normal_form(-(phi_inv * d_phi * phi_inv), free)
     got = normal_form(derive(phi_inv, table), free)
     assert got == want
@@ -352,7 +352,7 @@ def _cancelling_factors(draw):
 @given(factors=st.one_of(st.tuples(_PRODUCT_TERMS, _PRODUCT_TERMS), _cancelling_factors()))
 def test_product_matches_merging_oracle(factors):
     alg = default_algebra()
-    p, q = (NCPolynomial(alg, terms) for terms in factors)
+    p, q = (NCPolynomial(terms) for terms in factors)
     got = p * q
     assert got._terms == _merging_product(p, q)
     assert not any(g.is_zero() for g in got._terms.values())
@@ -451,7 +451,7 @@ def test_serialize_round_trip_random(alg):
 def test_coefficient_view(alg):
     p = parse_poly(alg, "(0+1/2i) h^1 * f2 + (1+0i) * f2 z")
     coeff = p.coefficient(("f2",))
-    exps, g = coeff.monomial()
+    [(exps, g)] = coeff.items()
     assert exps == alg.exps(h=1)
     assert g == gauss(0, Fraction(1, 2))
-    assert p.coefficient(("f2", "f2")).is_zero()
+    assert p.coefficient(("f2", "f2")) == {}
