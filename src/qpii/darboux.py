@@ -3,7 +3,7 @@
 Integrates the first-order linear system for matrix-valued seeds with the
 classical four-stage Runge-Kutta scheme.  The system is linear, so each step
 is a propagator Y_{k+1} = Y_k + Q_k Y_k on the stacked pair Y = [chi; phi],
-with the Q_k built for all spectral values and a chunk of steps at once.
+with the Q_k of all spectral values built by one d x d product per stage.
 It applies one-fold and N-fold transformations, builds the quasideterminant
 eigenfunction forms, and computes residual diagnostics.  One dressing step
 (the one-fold map and the dressing of the remaining pairs, with each head
@@ -172,14 +172,13 @@ def _midpoint_samples(values: np.ndarray) -> np.ndarray:
 _CHUNK_STEPS = 128
 
 
-def _system_matrices(u_values: np.ndarray, lams: np.ndarray) -> np.ndarray:
-    """M = [[u - 2 i lam, u], [u, u + 2 i lam]] per sample and spectral value,
-    shape ``(samples, len(lams), 2d, 2d)``."""
-    d = u_values.shape[1]
-    m = np.tile(u_values, (1, 2, 2))[:, None].repeat(len(lams), axis=1)
-    diag = np.arange(2 * d)
-    m[:, :, diag, diag] += np.outer(2j * lams, np.repeat([-1.0, 1.0], d))
-    return m
+def _apply_system(u: np.ndarray, c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x = [s - c x_chi; s + c x_phi] with s = u (x_chi + x_phi), for the
+    system matrix M = [[u - c, u], [u, u + c]], c = 2 i lam per spectral value."""
+    d = u.shape[-1]
+    x_chi, x_phi = x[..., :d, :], x[..., d:, :]
+    s = stack_matmul(u[:, None], x_chi + x_phi)
+    return np.concatenate((s - c * x_chi, s + c * x_phi), axis=-2)
 
 
 def integrate_eigenpairs(
@@ -191,15 +190,18 @@ def integrate_eigenpairs(
     With Y = [chi; phi] stacked, the system is Y' = M Y where
     chi' = (-2 i lam + u) chi + u phi,  phi' = u chi + (2 i lam + u) phi.
     Being linear, one RK4 step is Y_{k+1} = Y_k + Q_k Y_k with
-    K1 = M0, K2 = Mm + h/2 Mm K1, K3 = Mm + h/2 Mm K2, K4 = M1 + h M1 K3
-    and Q = h/6 (K1 + 2 K2 + 2 K3 + K4); the Q of a chunk of steps are built
-    as whole-array stacks, then applied step by step.  Midpoint seed values
-    come from cubic interpolation, so the single-step order of the scheme is
-    preserved for smooth seeds.  The first spectral value, in the given
-    order, whose state turns non-finite raises ``DivergenceError``.
+    K1 = M0, K2 = Mm (I + h/2 K1), K3 = Mm (I + h/2 K2), K4 = M1 (I + h K3)
+    and Q = h/6 (K1 + 2 K2 + 2 K3 + K4), each stage one d x d product; the Q
+    of a chunk of steps are whole-array stacks, applied step by step.  The
+    state stays [chi; phi]: chi +- phi would lose a phi far below chi.
+    Midpoint seed values come from cubic interpolation, so the single-step
+    order of the scheme is preserved for smooth seeds.  The first spectral
+    value, in the given order, whose state turns non-finite raises
+    ``DivergenceError``.
     """
     d, n, h = u.d, u.count, u.h
-    lam_arr = np.array(lams, dtype=np.complex128)
+    c = 2j * np.array(lams, dtype=np.complex128)[:, None, None]
+    eye = np.eye(2 * d)
     mids = _midpoint_samples(u.values)
     ys = np.empty((n, len(lams), 2 * d, d), dtype=np.complex128)
     for j, (init_chi, init_phi) in enumerate(inits):
@@ -209,13 +211,11 @@ def integrate_eigenpairs(
     with np.errstate(over="ignore", invalid="ignore"):
         for a in range(0, n - 1, _CHUNK_STEPS):
             b = min(a + _CHUNK_STEPS, n - 1)
-            ends = _system_matrices(u.values[a : b + 1], lam_arr)
-            m0, m1 = ends[:-1], ends[1:]
-            mm = _system_matrices(mids[a:b], lam_arr)
-            k2 = mm + (0.5 * h) * stack_matmul(mm, m0)
-            k3 = mm + (0.5 * h) * stack_matmul(mm, k2)
-            k4 = m1 + h * stack_matmul(m1, k3)
-            q = (h / 6.0) * (m0 + 2 * k2 + 2 * k3 + k4)
+            k1 = _apply_system(u.values[a:b], c, eye)
+            k2 = _apply_system(mids[a:b], c, eye + (0.5 * h) * k1)
+            k3 = _apply_system(mids[a:b], c, eye + (0.5 * h) * k2)
+            k4 = _apply_system(u.values[a + 1 : b + 1], c, eye + h * k3)
+            q = (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
             # the increment form Y + Q Y, not (I + Q) Y: adding I to Q would
             # round away the low bits of every step
             for qk, y0, y1 in zip(list(q), steps[a:b], steps[a + 1 : b + 1]):
@@ -238,8 +238,7 @@ def integrate_eigenpairs(
 def integrate_linear_system(
     u: GridFunction, lam: complex, init_chi: np.ndarray, init_phi: np.ndarray
 ) -> Eigenpair:
-    """One spectral value of ``integrate_eigenpairs``: the RK4 propagator
-    step Y_{k+1} = Y_k + Q_k Y_k for Y = [chi; phi]."""
+    """One spectral value of ``integrate_eigenpairs``."""
     return integrate_eigenpairs(u, [lam], [(init_chi, init_phi)])[0]
 
 
@@ -343,8 +342,8 @@ class DressingChain:
         self.eigenpairs = list(eigenpairs)
         self._solutions: list[GridFunction] = [seed]
         self._quasidet_values: list[np.ndarray] = [seed.values]
-        self._dressed: list[tuple[complex, GridFunction, GridFunction]] = [
-            (p.lam, p.chi, p.phi) for p in eigenpairs
+        self._dressed: list[tuple[complex, np.ndarray, np.ndarray]] = [
+            (p.lam, p.chi.values, p.phi.values) for p in eigenpairs
         ]
         self._levels_done = 0
         self.audit: list[dict] = []
@@ -370,17 +369,18 @@ class DressingChain:
         lam, chi, phi = self._dressed[k - 1]
         u_prev = self._solutions[k - 1]
         u_values, dressed = _dress_level(
-            ComplexMatrixCarrier(u_prev.d),
-            u_prev.values,
-            (lam, chi.values, phi.values),
-            [(lam_m, chi_m.values, phi_m.values) for lam_m, chi_m, phi_m in self._dressed[k:]],
+            ComplexMatrixCarrier(u_prev.d), u_prev.values, (lam, chi, phi), self._dressed[k:]
         )
+        for name, values in [("u", u_values)] + [
+            (f"{field} of eigenpair {m}", stack)
+            for m, (_lam, *pair) in enumerate(dressed, k + 1)
+            for field, stack in zip(("chi", "phi"), pair)
+        ]:
+            if not np.isfinite(values).all():
+                raise NonFiniteDiagnostic(f"level {k}: {name} is not finite")
         u_next = GridFunction(u_prev.z0, u_prev.h, u_values)
-        self._dressed[k:] = [
-            (lam_m, *(GridFunction(u_prev.z0, u_prev.h, v) for v in values))
-            for lam_m, *values in dressed
-        ]
-        dets = np.abs(np.linalg.det(chi.values))
+        self._dressed[k:] = dressed
+        dets = np.abs(np.linalg.det(chi))
         self.audit.append(
             {
                 "level": k,

@@ -447,6 +447,25 @@ def test_darboux_non_finite_diagnostic_exits_1(tmp_path, capsys):
     }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_darboux_overflowing_level_is_named(tmp_path, capsys):
+    # lam1 = 200i makes S = chi1 phi1^-1 overflow, so the second pair's
+    # dressed phi is the first non-finite stack of level 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "d": 1,
+        "grid": {"z0": 0.0, "h": 0.0005, "count": 2001},
+        "lambdas": [[0.0, 200.0], [0.1, 0.5]],
+    }))
+    code, out, err = run_main(["darboux", "--config", str(config)], capsys)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "command": "darboux",
+        "error": {"message": "level 1: phi of eigenpair 2 is not finite",
+                  "type": "NonFiniteDiagnostic"},
+    }
+
+
 @pytest.mark.parametrize("text", [json.dumps(json.dumps(_config())), '"x"'],
                          ids=["config-as-string", "string"])
 def test_darboux_config_document_must_be_an_object(tmp_path, capsys, text):

@@ -60,13 +60,31 @@ def vacuum_pair(lam, z0=0.0, h=1e-2, count=101, d=1, init_chi=None, init_phi=Non
 # -- integration ---------------------------------------------------------------
 
 
-def test_vacuum_closed_form():
-    u, pair = vacuum_pair(LAM)
-    zs = u.zs
-    chi_exact = np.exp(-2j * LAM * zs)
-    phi_exact = np.exp(2j * LAM * zs)
-    assert np.max(np.abs(pair.chi.values[:, 0, 0] - chi_exact)) < 5e-8
-    assert np.max(np.abs(pair.phi.values[:, 0, 0] - phi_exact)) < 5e-8
+# a phi init far below chi's pins the [chi; phi] state: in the basis
+# chi + phi, chi - phi such a phi is lost to round-off
+@pytest.mark.parametrize("d, phi0", [(1, 1.0), (1, 1e-200), (2, 1e-200)],
+                         ids=["unit", "tiny-phi", "tiny-phi-d2"])
+def test_vacuum_closed_form(d, phi0):
+    u, pair = vacuum_pair(LAM, d=d, init_phi=phi0 * np.eye(d))
+    zs = u.zs[:, None, None]
+    chi_exact = np.exp(-2j * LAM * zs) * np.eye(d)
+    phi_exact = phi0 * np.exp(2j * LAM * zs) * np.eye(d)
+    assert np.max(np.abs(pair.chi.values - chi_exact)) < 5e-8
+    assert np.max(np.abs(pair.phi.values - phi_exact)) < 5e-8 * phi0
+
+
+def test_stage_products_are_d_by_d(monkeypatch):
+    # each RK4 stage applies the system through one d x d product; no
+    # product of 2d x 2d system matrices is formed
+    d, left = 3, []
+
+    def recording(a, b):
+        left.append(a.shape)
+        return quasidet.stack_matmul(a, b)
+
+    monkeypatch.setattr(dbx, "stack_matmul", recording)
+    dbx.integrate_eigenpairs(noncommuting_seed(d, 129), BATCH_LAMS, batch_inits(d))
+    assert left and all(shape[-1] == d for shape in left)
 
 
 def test_zero_spectral_value_constant():
@@ -770,6 +788,27 @@ def test_qpii_residual_linear_seed_formula():
     interior = zs[1:-1]
     want = np.abs(4 * interior**2 - 2 * interior**3) * np.sqrt(d)
     assert np.max(np.abs(res - want)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "f, c, d",
+    [(lambda z: 1 / z, 4.0, 1), (lambda z: 1 / z, 4.0, 2),
+     (lambda z: -1 / z + 3 * z**2 / (z**3 - 1), 8.0, 1)],
+    ids=["inverse-z", "inverse-z-d2", "backlund-step"],
+)
+def test_qpii_residual_vanishes_on_rational_solutions(f, c, d):
+    # exact rational solutions of u'' - 2u^3 + 4zu = c on [1.5, 2.5]: the
+    # second difference is O(h^2), so halving h quarters the defect, and a
+    # wrong c shows as its own offset
+    maxima = []
+    for h in (1e-3, 5e-4):
+        zs = 1.5 + h * np.arange(int(round(1.0 / h)) + 1)
+        u = GridFunction(1.5, h, f(zs)[:, None, None] * np.eye(d))
+        maxima.append(float(np.max(qpii_residual_numeric(u, c))))
+    assert maxima[0] < 1e-4
+    assert 3.5 < maxima[0] / maxima[1] < 4.5
+    off = qpii_residual_numeric(u, c + 0.5)
+    assert np.max(np.abs(off - 0.5 * np.sqrt(d))) < 1e-4
 
 
 # -- config and report ------------------------------------------------------------
